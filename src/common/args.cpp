@@ -5,6 +5,7 @@
 
 #include "common/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <iomanip>
 
@@ -122,10 +123,22 @@ ArgParser::getInt(const std::string &name) const
 {
     const std::string v = get(name);
     char *end = nullptr;
+    errno = 0;
     const long l = std::strtol(v.c_str(), &end, 10);
     fatal_if(end == v.c_str() || *end != '\0',
              "--" + name + " expects an integer, got '" + v + "'");
+    fatal_if(errno == ERANGE,
+             "--" + name + " is out of range, got '" + v + "'");
     return l;
+}
+
+std::size_t
+ArgParser::getCount(const std::string &name) const
+{
+    const long l = getInt(name);
+    fatal_if(l < 0, "--" + name + " expects a non-negative integer, got '" +
+                        get(name) + "'");
+    return static_cast<std::size_t>(l);
 }
 
 bool

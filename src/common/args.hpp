@@ -11,6 +11,7 @@
 #ifndef DHL_COMMON_ARGS_HPP
 #define DHL_COMMON_ARGS_HPP
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -56,6 +57,12 @@ class ArgParser
     /** Typed accessors with the same semantics. */
     double getDouble(const std::string &name) const;
     long getInt(const std::string &name) const;
+
+    /** A non-negative integer such as a count or size; fatal() on a
+     *  negative or out-of-range value, so it can never wrap into a
+     *  huge std::size_t. */
+    std::size_t getCount(const std::string &name) const;
+
     bool getSwitch(const std::string &name) const;
 
     /** True if the user supplied the flag explicitly. */

@@ -186,4 +186,144 @@ ZipfTable::sample(Rng &rng) const
     return static_cast<std::size_t>(it - cdf_.begin());
 }
 
+namespace {
+
+/** log(n!) - log(sqrt(2 pi n) (n / e)^n), the error of Stirling's
+ *  formula, for integer n >= 1: direct below 16 (n! is exact in a
+ *  double there; no lgamma, whose signgam write races across
+ *  threads), the asymptotic series above (Loader, "Fast and accurate
+ *  computation of binomial probabilities", 2000). */
+double
+stirlingError(double n)
+{
+    constexpr double kLogSqrt2Pi = 0.918938533204672741780329736406;
+    if (n < 16.0) {
+        double factorial = 1.0;
+        for (double i = 2.0; i <= n; i += 1.0)
+            factorial *= i;
+        return std::log(factorial) - (n + 0.5) * std::log(n) + n -
+               kLogSqrt2Pi;
+    }
+    constexpr double s0 = 1.0 / 12.0, s1 = 1.0 / 360.0,
+                     s2 = 1.0 / 1260.0, s3 = 1.0 / 1680.0,
+                     s4 = 1.0 / 1188.0;
+    const double nn = n * n;
+    if (n > 500.0)
+        return (s0 - s1 / nn) / n;
+    if (n > 80.0)
+        return (s0 - (s1 - s2 / nn) / nn) / n;
+    if (n > 35.0)
+        return (s0 - (s1 - (s2 - s3 / nn) / nn) / nn) / n;
+    return (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n;
+}
+
+/** The deviance term x log(x / m) + m - x, summed as a series when x
+ *  is near m, where the closed form cancels (Loader 2000). */
+double
+devianceTerm(double x, double m)
+{
+    if (std::fabs(x - m) < 0.1 * (x + m)) {
+        double v = (x - m) / (x + m);
+        double sum = (x - m) * v;
+        double term = 2.0 * x * v;
+        v *= v;
+        for (int j = 1;; ++j) {
+            term *= v;
+            const double next = sum + term / (2 * j + 1);
+            if (next == sum)
+                return sum;
+            sum = next;
+        }
+    }
+    return x * std::log(x / m) + m - x;
+}
+
+} // namespace
+
+BinomialSampler::BinomialSampler(std::uint64_t n, double p)
+    : n_(n), p_(p)
+{
+    fatal_if(!(p >= 0.0 && p <= 1.0),
+             "binomial probability must be in [0, 1]");
+    // Counts are walked in double, which is exact up to 2^53.
+    fatal_if(n > (std::uint64_t{1} << 53), "binomial trials exceed 2^53");
+    if (n == 0 || p == 0.0 || p == 1.0)
+        return; // sample() never searches
+    const double q = 1.0 - p;
+    const double nd = static_cast<double>(n);
+    // floor((n + 1) p) is a mode; it can round past n when p is within
+    // an ulp of 1, so clamp in double before converting.
+    const double mode = std::floor((nd + 1.0) * p);
+    mode_ = mode >= nd ? n : static_cast<std::uint64_t>(mode);
+    const double k = static_cast<double>(mode_);
+    // pmf(mode) in Loader's saddle-point form, accurate to a few ulps
+    // at any n, where lgamma(n + 1) - lgamma(k + 1) - ... would cancel
+    // away ~log2(n log n) bits.  The support's ends are plain powers.
+    if (mode_ == 0) {
+        pmf_mode_ = std::exp(nd * std::log1p(-p));
+    } else if (mode_ == n) {
+        pmf_mode_ = std::exp(nd * std::log(p));
+    } else {
+        pmf_mode_ = std::exp(stirlingError(nd) - stirlingError(k) -
+                             stirlingError(nd - k) -
+                             devianceTerm(k, nd * p) -
+                             devianceTerm(nd - k, nd * q)) *
+                    std::sqrt(nd / (2.0 * M_PI * k * (nd - k)));
+    }
+    // pmf(mode) >= 1 / (n + 1); zero here would make sample() redraw
+    // forever.
+    panic_if(!(pmf_mode_ > 0.0), "binomial pmf(mode) underflowed");
+    odds_ = p / q;
+}
+
+std::uint64_t
+BinomialSampler::sample(Rng &rng) const
+{
+    if (n_ == 0 || p_ == 0.0)
+        return 0;
+    if (p_ == 1.0)
+        return n_;
+    const double nd = static_cast<double>(n_);
+    for (;;) {
+        // Invert u over the support taken in decreasing-pmf order:
+        // the mode, then whichever unvisited neighbour (lo - 1 below,
+        // hi + 1 above) is more probable.  A side's pmf reads 0 once
+        // it passes the support or underflows, and stays 0.
+        double u = rng.uniform();
+        if (u < pmf_mode_)
+            return mode_;
+        u -= pmf_mode_;
+        std::uint64_t lo = mode_;
+        std::uint64_t hi = mode_;
+        auto below = [&](double pmf_lo) {
+            const double k = static_cast<double>(lo);
+            return lo > 0 ? pmf_lo * k / (nd - k + 1.0) / odds_ : 0.0;
+        };
+        auto above = [&](double pmf_hi) {
+            const double k = static_cast<double>(hi);
+            return hi < n_ ? pmf_hi * (nd - k) / (k + 1.0) * odds_ : 0.0;
+        };
+        double down = below(pmf_mode_);
+        double up = above(pmf_mode_);
+        while (up > 0.0 || down > 0.0) {
+            if (up >= down) {
+                ++hi;
+                if (u < up)
+                    return hi;
+                u -= up;
+                up = above(up);
+            } else {
+                --lo;
+                if (u < down)
+                    return lo;
+                u -= down;
+                down = below(down);
+            }
+        }
+        // u fell past the mass the rounded pmf covers (it sums to 1
+        // only to within rounding): redraw, which keeps the draw exact
+        // for the normalised pmf.
+    }
+}
+
 } // namespace dhl

@@ -6,8 +6,8 @@
  * is reproducible from its seed and independent of the C++ standard
  * library's unspecified distribution implementations.  All distributions
  * used by the workload generators (uniform, exponential inter-arrival
- * times, log-normal transfer sizes, Zipf popularity) are implemented here
- * so results are bit-stable across platforms.
+ * times, log-normal transfer sizes, Zipf popularity, binomial counts) are
+ * implemented here so results are bit-stable across platforms.
  */
 
 #ifndef DHL_COMMON_RANDOM_HPP
@@ -102,6 +102,38 @@ class ZipfTable
 
   private:
     std::vector<double> cdf_;
+};
+
+/**
+ * Exact Binomial(n, p) sampler — distributed as the hit count of n
+ * Bernoulli(p) trials — by inversion searched outward from the mode.
+ * One uniform is walked down the support in decreasing-pmf
+ * order (the pmf is unimodal, so that order merges the two sides of
+ * the mode), which costs O(1 + sqrt(n p (1 - p))) steps per draw and
+ * never evaluates the tails where (1 - p)^n underflows.  pmf(mode) is
+ * computed once per (n, p) in Loader's saddle-point form (accurate at
+ * any n, unlike a difference of lgammas, and thread-safe); the
+ * neighbours follow by the pmf ratio recurrence.
+ */
+class BinomialSampler
+{
+  public:
+    /**
+     * @param n  Trials (<= 2^53).
+     * @param p  Per-trial success probability in [0, 1].
+     */
+    BinomialSampler(std::uint64_t n, double p);
+
+    /** Draw a count in [0, n].  Degenerate cases (n = 0, p = 0 or
+     *  p = 1) return 0 or n without consuming the stream. */
+    std::uint64_t sample(Rng &rng) const;
+
+  private:
+    std::uint64_t n_;
+    double p_;
+    std::uint64_t mode_ = 0;
+    double pmf_mode_ = 1.0;
+    double odds_ = 0.0; ///< p / (1 - p).
 };
 
 } // namespace dhl

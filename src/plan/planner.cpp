@@ -71,8 +71,9 @@ namespace {
 
 /** Score one lattice point against the shared scenario stream. */
 DesignReport
-scoreDesign(const PlannerConfig &cfg, const ScenarioSampler &sampler,
-            const DesignPoint &d, Rng &bootstrap_rng)
+scoreDesign(const PlannerConfig &cfg,
+            const std::vector<ScenarioBatch> &stream, const DesignPoint &d,
+            Rng &bootstrap_rng)
 {
     DesignReport r;
     r.constants = designConstants(cfg.assumptions, d);
@@ -83,15 +84,10 @@ scoreDesign(const PlannerConfig &cfg, const ScenarioSampler &sampler,
     double util_sum = 0.0;
     double energy_sum = 0.0;
 
-    ScenarioBatch in;
     EvalBatch out;
-    for (std::uint64_t first = 0; first < cfg.scenarios;
-         first += cfg.batch) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(cfg.batch, cfg.scenarios - first));
-        sampler.fill(first, n, in);
+    for (const ScenarioBatch &in : stream) {
         evaluateBatch(r.constants, in, cfg.assumptions.slo_latency, out);
-        for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t i = 0; i < in.size(); ++i) {
             sketch.sample(std::min(out.latency[i], clamp));
             met += out.meets_slo[i];
             util_sum += std::min(out.utilisation[i], 1.0);
@@ -110,18 +106,66 @@ scoreDesign(const PlannerConfig &cfg, const ScenarioSampler &sampler,
                      r.attainment >= cfg.assumptions.target_quantile;
 
     // Percentile bootstrap on the attainment: the per-scenario SLO
-    // outcome is Bernoulli, so a resample of the dataset reduces to a
-    // Binomial(n, attainment) draw — O(bootstrap) memory, counts only.
+    // outcome is Bernoulli, so a resample of the dataset reduces to one
+    // exact Binomial(n, attainment) draw — O(bootstrap) memory, counts
+    // only.  An attainment of 0 or 1 resamples to itself.
+    const BinomialSampler resample(cfg.scenarios, r.attainment);
     std::vector<double> resampled(cfg.bootstrap);
-    for (std::size_t b = 0; b < cfg.bootstrap; ++b) {
-        std::uint64_t hits = 0;
-        for (std::size_t i = 0; i < cfg.scenarios; ++i)
-            hits += bootstrap_rng.uniform() < r.attainment ? 1 : 0;
-        resampled[b] = static_cast<double>(hits) / n;
-    }
+    for (double &a : resampled)
+        a = static_cast<double>(resample.sample(bootstrap_rng)) / n;
     r.attainment_lo = stats::percentile(resampled, 2.5);
     r.attainment_hi = stats::percentile(resampled, 97.5);
     return r;
+}
+
+/**
+ * Score every lattice point, in lattice order.  The common scenario
+ * stream is sampled once here, in batch-sized chunks (40 B per
+ * scenario), and only read by the points: scenario #i is a pure
+ * function of (seed, i), so this is the stream each point would
+ * otherwise refill for itself, and filling it before the runner starts
+ * keeps it race-free under any jobs.  Stream and grid are freed on
+ * return, before plan() runs the DES cross-check.
+ */
+std::vector<DesignReport>
+scoreLattice(const PlannerConfig &cfg, const std::vector<DesignPoint> &points)
+{
+    const ScenarioSampler sampler(cfg.demand, cfg.seed);
+    std::vector<ScenarioBatch> stream((cfg.scenarios - 1) / cfg.batch + 1);
+    for (std::size_t b = 0; b < stream.size(); ++b) {
+        const std::size_t first = b * cfg.batch;
+        sampler.fill(first, std::min(cfg.batch, cfg.scenarios - first),
+                     stream[b]);
+    }
+
+    // One ExperimentRunner scenario per lattice point, writing its
+    // report into a preallocated slot (disjoint writes, no locking).
+    // The bootstrap uses ctx.rng — seeded from (experiment seed,
+    // index, name), never from execution order — so a parallel plan
+    // is byte-identical to a serial one.
+    std::vector<DesignReport> reports(points.size());
+    exp::Experiment grid("capacity_plan");
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const DesignPoint d = points[i];
+        DesignReport *slot = &reports[i];
+        std::string name = "t";
+        name += std::to_string(d.tracks);
+        name += ".c";
+        name += std::to_string(d.carts_per_track);
+        name += ".p";
+        name += std::to_string(d.plants);
+        grid.add(name, [&cfg, &stream, d, slot](exp::ScenarioContext &ctx) {
+            *slot = scoreDesign(cfg, stream, d, ctx.rng);
+            return exp::ScenarioRows{};
+        });
+    }
+
+    exp::RunOptions run_opts;
+    run_opts.jobs = cfg.jobs;
+    run_opts.seed = cfg.seed;
+    const exp::ExperimentRunner runner(run_opts);
+    runner.run(grid);
+    return reports;
 }
 
 /** The DES cross-check: replay the winner's per-track launch stream
@@ -166,39 +210,9 @@ validateWinner(const PlannerConfig &cfg, const DesignReport &winner)
 PlanResult
 CapacityPlanner::plan() const
 {
-    const std::vector<DesignPoint> points = lattice();
-    const ScenarioSampler sampler(cfg_.demand, cfg_.seed);
-
     PlanResult result;
     result.scenarios = cfg_.scenarios;
-    result.reports.resize(points.size());
-
-    // One ExperimentRunner scenario per lattice point, writing its
-    // report into a preallocated slot (disjoint writes, no locking).
-    // The bootstrap uses ctx.rng — seeded from (experiment seed,
-    // index, name), never from execution order — so a parallel plan
-    // is byte-identical to a serial one.
-    exp::Experiment grid("capacity_plan");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const DesignPoint d = points[i];
-        DesignReport *slot = &result.reports[i];
-        std::string name = "t";
-        name += std::to_string(d.tracks);
-        name += ".c";
-        name += std::to_string(d.carts_per_track);
-        name += ".p";
-        name += std::to_string(d.plants);
-        grid.add(name, [this, &sampler, d, slot](exp::ScenarioContext &ctx) {
-            *slot = scoreDesign(cfg_, sampler, d, ctx.rng);
-            return exp::ScenarioRows{};
-        });
-    }
-
-    exp::RunOptions run_opts;
-    run_opts.jobs = cfg_.jobs;
-    run_opts.seed = cfg_.seed;
-    const exp::ExperimentRunner runner(run_opts);
-    runner.run(grid);
+    result.reports = scoreLattice(cfg_, lattice());
 
     // Cheapest design meeting the target; lattice order breaks ties.
     for (std::size_t i = 0; i < result.reports.size(); ++i) {

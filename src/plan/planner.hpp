@@ -5,11 +5,13 @@
  * sampled demand scenarios meets a target quantile.
  *
  * Every lattice point is scored against the *same* deterministic
- * scenario stream (common random numbers, see scenario.hpp), in
- * batches through the SoA evaluator, with streaming aggregation — a
- * QuantileSketch for the latency distribution and counters for SLO
- * attainment — so memory stays O(1) in the scenario count.  A
- * bootstrap over the attainment counts yields a 95 % CI.  Lattice
+ * scenario stream (common random numbers, see scenario.hpp), which
+ * plan() therefore samples once, in batches for the SoA evaluator
+ * (40 B per scenario), and shares read-only across the lattice.  Per
+ * point, aggregation streams — a QuantileSketch for the latency
+ * distribution and counters for SLO attainment — so a point's own
+ * state is O(1) in the scenario count.  A bootstrap of exact binomial
+ * resamples of the attainment count yields a 95 % CI.  Lattice
  * points run as scenarios of an exp::ExperimentRunner grid: reports
  * land in lattice order and a parallel plan is byte-identical to a
  * serial one.
@@ -59,7 +61,8 @@ struct PlannerConfig
     /** Scenarios per lattice point (the common random-number stream). */
     std::size_t scenarios = 4096;
 
-    /** Scenario batch size for the SoA evaluator. */
+    /** Scenario batch size for the SoA evaluator (the chunk size of
+     *  the stream plan() samples once). */
     std::size_t batch = 1024;
 
     /** Bootstrap resamples behind the attainment CI. */

@@ -141,3 +141,35 @@ TEST(ArgParserTest, IntegerParsing)
     EXPECT_TRUE(parse(args, {"--count", "42"}, os));
     EXPECT_EQ(args.getInt("count"), 42);
 }
+
+TEST(ArgParserTest, CountsRejectNegativeAndOutOfRangeValues)
+{
+    std::ostringstream os;
+    const auto count = [&os](const char *value) {
+        ArgParser args("prog", "t");
+        args.addOption("jobs", "n", "4");
+        EXPECT_TRUE(parse(args, {"--jobs", value}, os));
+        return args.getCount("jobs");
+    };
+    EXPECT_EQ(count("0"), 0u);
+    EXPECT_EQ(count("2048"), 2048u);
+    EXPECT_THROW(count("-1"), dhl::FatalError);
+    EXPECT_THROW(count("-5"), dhl::FatalError);
+    EXPECT_THROW(count("99999999999999999999"), dhl::FatalError);
+    EXPECT_THROW(count("3x"), dhl::FatalError);
+
+    // The default is checked like a supplied value.
+    ArgParser args("prog", "t");
+    args.addOption("bootstrap", "n", "-1");
+    EXPECT_TRUE(parse(args, {}, os));
+    EXPECT_THROW(args.getCount("bootstrap"), dhl::FatalError);
+}
+
+TEST(ArgParserTest, IntegersRejectOutOfRangeValues)
+{
+    ArgParser args("prog", "t");
+    args.addOption("seed", "n", "0");
+    std::ostringstream os;
+    EXPECT_TRUE(parse(args, {"--seed", "-99999999999999999999"}, os));
+    EXPECT_THROW(args.getInt("seed"), dhl::FatalError);
+}

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/stats.hpp"
 #include "plan/planner.hpp"
 
 using namespace dhl;
@@ -311,6 +313,92 @@ TEST(CapacityPlannerTest, DesValidationReportsASustainedRate)
     // below the closed-form bound but within a stable band.
     EXPECT_GE(result.des.ratio, 0.30);
     EXPECT_LE(result.des.ratio, 1.05);
+}
+
+namespace {
+
+/**
+ * The oracle for plan(): every lattice point re-scored one scenario at
+ * a time from sampler.at(i) and evaluateScalar into a fresh sketch.
+ * plan() evaluates a stream it samples once in batch-sized chunks, so
+ * any chunking or sharing slip shows as a bit difference.  Returns how
+ * many reports had attainment 0 and 1, whose CI must collapse onto it.
+ */
+std::pair<std::size_t, std::size_t>
+expectReportsMatchScalarReplay(const PlannerConfig &cfg)
+{
+    const CapacityPlanner planner(cfg);
+    const PlanResult result = planner.plan();
+    const std::vector<DesignPoint> points = planner.lattice();
+    EXPECT_EQ(result.reports.size(), points.size());
+
+    const ScenarioSampler sampler(cfg.demand, cfg.seed);
+    const double clamp = cfg.latencyClamp();
+    std::size_t none = 0, all = 0;
+    for (std::size_t d = 0; d < points.size(); ++d) {
+        stats::QuantileSketch sketch(0.0, clamp, cfg.sketch_bins);
+        std::uint64_t met = 0;
+        double util_sum = 0.0, energy_sum = 0.0;
+        for (std::uint64_t i = 0; i < cfg.scenarios; ++i) {
+            const ScenarioOutcome o =
+                evaluateScalar(cfg.assumptions, points[d], sampler.at(i));
+            sketch.sample(std::min(o.latency, clamp));
+            met += o.meets_slo ? 1 : 0;
+            util_sum += std::min(o.utilisation, 1.0);
+            energy_sum += o.energy_day;
+        }
+        const auto n = static_cast<double>(cfg.scenarios);
+        const double attainment = static_cast<double>(met) / n;
+
+        const DesignReport &r = result.reports[d];
+        EXPECT_EQ(r.attainment, attainment) << d;
+        EXPECT_EQ(r.latency_p50, sketch.quantile(50.0)) << d;
+        EXPECT_EQ(r.latency_slo_q,
+                  sketch.quantile(100.0 * cfg.assumptions.target_quantile))
+            << d;
+        EXPECT_EQ(r.mean_utilisation, util_sum / n) << d;
+        EXPECT_EQ(r.mean_energy_day, energy_sum / n) << d;
+        EXPECT_EQ(r.meets_target,
+                  r.constants.feasible &&
+                      attainment >= cfg.assumptions.target_quantile)
+            << d;
+
+        // A resample of all misses or all hits is itself.
+        if (met == 0 || met == cfg.scenarios) {
+            EXPECT_EQ(r.attainment_lo, attainment) << d;
+            EXPECT_EQ(r.attainment_hi, attainment) << d;
+            ++(met == 0 ? none : all);
+        }
+    }
+    return {none, all};
+}
+
+} // namespace
+
+TEST(CapacityPlannerTest, ReportsMatchAScalarReplayOfTheStream)
+{
+    PlannerConfig cfg = smallPlanner();
+    ASSERT_NE(cfg.scenarios % cfg.batch, 0u); // a short last chunk
+    expectReportsMatchScalarReplay(cfg);
+    cfg.jobs = 3;
+    expectReportsMatchScalarReplay(cfg);
+}
+
+TEST(CapacityPlannerTest, CertainOutcomesGetADegenerateCi)
+{
+    // Point demand: every scenario is the same, so each design meets
+    // the SLO on all of them or on none.
+    PlannerConfig cfg = smallPlanner();
+    cfg.demand.users_median = 1.0e6;
+    cfg.demand.users_sigma = 0.0;
+    cfg.demand.bytes_sigma = 0.0;
+    cfg.demand.peak_max = cfg.demand.peak_min;
+    cfg.demand.bulk_share_max = cfg.demand.bulk_share_min;
+    cfg.demand.request_sigma = 0.0;
+    const auto [none, all] = expectReportsMatchScalarReplay(cfg);
+    EXPECT_GT(none, 0u);
+    EXPECT_GT(all, 0u);
+    EXPECT_EQ(none + all, CapacityPlanner(cfg).lattice().size());
 }
 
 TEST(CapacityPlannerTest, RejectsNonsenseConfigs)

@@ -88,8 +88,7 @@ configFromFlags(const ArgParser &args)
     apply("length",
           [&] { cfg.track_length = args.getDouble("length"); });
     apply("ssds", [&] {
-        cfg.ssds_per_cart =
-            static_cast<std::size_t>(args.getInt("ssds"));
+        cfg.ssds_per_cart = args.getCount("ssds");
     });
     apply("dock", [&] { cfg.dock_time = args.getDouble("dock"); });
     apply("mode", [&] {
@@ -106,8 +105,7 @@ configFromFlags(const ArgParser &args)
         }
     });
     apply("stations", [&] {
-        cfg.docking_stations =
-            static_cast<std::size_t>(args.getInt("stations"));
+        cfg.docking_stations = args.getCount("stations");
     });
     // Bulk runs may need many carts.
     cfg.library_slots = std::max<std::size_t>(cfg.library_slots, 4096);
@@ -289,16 +287,14 @@ cmdSimulate(int argc, const char *const *argv)
         args.provided("maintenance") || args.provided("domains") ||
         args.provided("wear-gain");
     if (ops_mode) {
-        const auto tracks =
-            static_cast<std::size_t>(args.getInt("tracks"));
+        const auto tracks = args.getCount("tracks");
         fatal_if(tracks == 0, "--tracks must be at least 1");
         ops::OpsConfig oc;
         oc.dispatch.policy =
             ops::parseDispatchPolicy(args.get("ops-policy"));
         if (args.provided("maintenance"))
             oc.maintenance = parseMaintenancePlan(args.get("maintenance"));
-        const auto domain_size =
-            static_cast<std::size_t>(args.getInt("domains"));
+        const auto domain_size = args.getCount("domains");
         if (domain_size > 0) {
             oc.domains.enabled = true;
             oc.domains.domain_size = domain_size;
@@ -497,21 +493,18 @@ cmdServe(int argc, const char *const *argv)
 
     serve::ServeConfig cfg;
     cfg.dhl = configFromFlags(args);
-    cfg.tracks = static_cast<std::size_t>(args.getInt("tracks"));
+    cfg.tracks = args.getCount("tracks");
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed"));
     cfg.stages = workloads::parseStageSpec(
         args.get("stages"), u::gigabytes(args.getDouble("request-gb")),
         args.getDouble("sigma"));
     cfg.epoch = args.getDouble("epoch");
-    cfg.carts_per_track =
-        static_cast<std::size_t>(args.getInt("carts"));
-    cfg.max_pending =
-        static_cast<std::size_t>(args.getInt("max-pending"));
+    cfg.carts_per_track = args.getCount("carts");
+    cfg.max_pending = args.getCount("max-pending");
     cfg.policy = ops::parseDispatchPolicy(args.get("policy"));
     cfg.min_priority_degraded =
         static_cast<int>(args.getInt("min-priority"));
-    cfg.des_shards =
-        static_cast<std::size_t>(args.getInt("des-shards"));
+    cfg.des_shards = args.getCount("des-shards");
     if (args.getSwitch("te")) {
         cfg.te.enabled = true;
         cfg.te.mode = te::parseTeMode(args.get("te-mode"));
@@ -522,8 +515,7 @@ cmdServe(int argc, const char *const *argv)
             u::gigabitsPerSecond(args.getDouble("te-optical-gbps"));
         cfg.te.headroom = args.getDouble("te-headroom");
         cfg.te.usage_multiplier = args.getDouble("te-multiplier");
-        cfg.te.history =
-            static_cast<std::size_t>(args.getInt("te-history"));
+        cfg.te.history = args.getCount("te-history");
         cfg.te.min_priority_contended =
             static_cast<int>(args.getInt("te-floor"));
         cfg.te.route = args.get("te-route");
@@ -545,8 +537,7 @@ cmdServe(int argc, const char *const *argv)
     }
     if (args.provided("maintenance"))
         cfg.maintenance = parseMaintenancePlan(args.get("maintenance"));
-    const auto domain_size =
-        static_cast<std::size_t>(args.getInt("domains"));
+    const auto domain_size = args.getCount("domains");
     if (domain_size > 0) {
         cfg.domains.enabled = true;
         cfg.domains.domain_size = domain_size;
@@ -573,10 +564,8 @@ cmdServe(int argc, const char *const *argv)
         sim.checkpoint(out);
     };
 
-    const auto stop_after =
-        static_cast<std::size_t>(args.getInt("stop-after"));
-    const auto every =
-        static_cast<std::size_t>(args.getInt("checkpoint-every"));
+    const auto stop_after = args.getCount("stop-after");
+    const auto every = args.getCount("checkpoint-every");
     std::size_t stepped = 0;
     while (sim.stepEpoch()) {
         ++stepped;
@@ -759,8 +748,7 @@ cmdFleet(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cout))
         return 0;
     const core::DhlConfig cfg = configFromFlags(args);
-    const auto tracks =
-        static_cast<std::size_t>(args.getInt("tracks"));
+    const auto tracks = args.getCount("tracks");
     core::DhlFleet fleet(cfg, tracks);
     core::BulkRunOptions opts;
     opts.include_read_time = args.getSwitch("reads");
@@ -816,7 +804,7 @@ cmdSweep(int argc, const char *const *argv)
     }
 
     exp::RunOptions ropts;
-    ropts.jobs = static_cast<std::size_t>(args.getInt("jobs"));
+    ropts.jobs = args.getCount("jobs");
     const exp::ExperimentRunner runner(ropts);
     const exp::ExperimentResult result = runner.run(fig6);
 
@@ -892,15 +880,14 @@ cmdPlan(int argc, const char *const *argv)
         u::gigabytes(args.getDouble("request-gb"));
     cfg.assumptions.slo_latency = args.getDouble("slo");
     cfg.assumptions.target_quantile = args.getDouble("slo-quantile");
-    cfg.assumptions.tracks_per_plant =
-        static_cast<std::size_t>(args.getInt("tracks-per-plant"));
+    cfg.assumptions.tracks_per_plant = args.getCount("tracks-per-plant");
     cfg.assumptions.plant_capex = args.getDouble("plant-capex");
     cfg.assumptions.cart_capex = args.getDouble("cart-capex");
-    cfg.tracks_max = static_cast<std::size_t>(args.getInt("tracks-max"));
-    cfg.carts_max = static_cast<std::size_t>(args.getInt("carts-max"));
-    cfg.scenarios = static_cast<std::size_t>(args.getInt("scenarios"));
-    cfg.bootstrap = static_cast<std::size_t>(args.getInt("bootstrap"));
-    cfg.jobs = static_cast<std::size_t>(args.getInt("jobs"));
+    cfg.tracks_max = args.getCount("tracks-max");
+    cfg.carts_max = args.getCount("carts-max");
+    cfg.scenarios = args.getCount("scenarios");
+    cfg.bootstrap = args.getCount("bootstrap");
+    cfg.jobs = args.getCount("jobs");
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed"));
     cfg.validate_des = args.getSwitch("validate");
 
