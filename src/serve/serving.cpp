@@ -747,8 +747,10 @@ ServingSim::classSlo(std::size_t tenant, te::Substrate s)
 }
 
 const stats::SloAccumulator &
-ServingSim::classSlo(std::size_t tenant, te::Substrate s) const
+ServingSim::teClassSlo(std::size_t tenant, te::Substrate s) const
 {
+    fatal_if(!te_, "TE is not enabled on this serving fleet");
+    fatal_if(tenant >= tenant_tags_.size(), "TE class index out of range");
     return class_slo_[tenant * 2 + (s == te::Substrate::Optical ? 1 : 0)];
 }
 
@@ -998,12 +1000,7 @@ ServingSim::checkpoint(std::ostream &os) const
             w.putU64("deferred", s.deferred());
             w.putU64("shed", s.shed());
             w.putDouble("bytes", s.bytesDelivered());
-            w.putU64("samples", s.latencies().size());
-            for (std::size_t j = 0; j < s.latencies().size(); ++j) {
-                std::string lk("l");
-                lk += std::to_string(j);
-                w.putDouble(lk, s.latencies()[j]);
-            }
+            w.putDoubles("latencies", s.latencies());
         }
     }
 
@@ -1056,12 +1053,7 @@ ServingSim::checkpoint(std::ostream &os) const
             w.putU64("deferred", s.deferred());
             w.putU64("shed", s.shed());
             w.putDouble("bytes", s.bytesDelivered());
-            w.putU64("samples", s.latencies().size());
-            for (std::size_t j = 0; j < s.latencies().size(); ++j) {
-                std::string lk("l");
-                lk += std::to_string(j);
-                w.putDouble(lk, s.latencies()[j]);
-            }
+            w.putDoubles("latencies", s.latencies());
         }
         sim::SnapshotScope<sim::SnapshotWriter> ctl(w, "ctl");
         te_->saveState(w);
@@ -1155,18 +1147,10 @@ ServingSim::restore(std::istream &is)
             std::string key("c");
             key += std::to_string(i);
             sim::SnapshotScope<sim::SnapshotReader> cs(r, key);
-            const std::uint64_t samples = r.getU64("samples");
-            std::vector<double> latencies;
-            latencies.reserve(samples);
-            for (std::uint64_t j = 0; j < samples; ++j) {
-                std::string lk("l");
-                lk += std::to_string(j);
-                latencies.push_back(r.getDouble(lk));
-            }
             class_slo_[i].restore(r.getU64("offered"),
                                   r.getU64("deferred"), r.getU64("shed"),
                                   r.getDouble("bytes"),
-                                  std::move(latencies));
+                                  r.getDoubles("latencies"));
         }
         sim::SnapshotScope<sim::SnapshotReader> ctl(r, "ctl");
         te_->restoreState(r);
@@ -1210,17 +1194,9 @@ ServingSim::restore(std::istream &is)
         std::string key("s");
         key += std::to_string(i);
         sim::SnapshotScope<sim::SnapshotReader> ss(r, key);
-        const std::uint64_t samples = r.getU64("samples");
-        std::vector<double> latencies;
-        latencies.reserve(samples);
-        for (std::uint64_t j = 0; j < samples; ++j) {
-            std::string lk("l");
-            lk += std::to_string(j);
-            latencies.push_back(r.getDouble(lk));
-        }
         slo_[i].restore(r.getU64("offered"), r.getU64("deferred"),
                         r.getU64("shed"), r.getDouble("bytes"),
-                        std::move(latencies));
+                        r.getDoubles("latencies"));
     }
 }
 
@@ -1312,7 +1288,7 @@ ServingSim::teTable() const
     for (std::size_t t = 0; t < tenant_tags_.size(); ++t) {
         for (const te::Substrate s :
              {te::Substrate::Dhl, te::Substrate::Optical}) {
-            const stats::SloAccumulator &acc = classSlo(t, s);
+            const stats::SloAccumulator &acc = teClassSlo(t, s);
             exp::ClassSlo row;
             row.name = tenant_tags_[t];
             row.substrate = te::to_string(s);

@@ -232,6 +232,11 @@ class ServingSim
      *  makespan, so a slowly draining backlog scores lower). */
     std::vector<exp::ClassSlo> teTable() const;
 
+    /** One (class, substrate) accumulator; @p tenant indexes the
+     *  classes in teTable() order (fatal() unless enabled). */
+    const stats::SloAccumulator &teClassSlo(std::size_t tenant,
+                                            te::Substrate s) const;
+
     /** Joules spent by offloaded flows on the optical route. */
     double opticalEnergy() const { return optical_energy_; }
 
@@ -330,8 +335,6 @@ class ServingSim
                       std::size_t tenant, bool downgraded);
     std::size_t tenantOf(const workloads::ArrivalEvent &ev) const;
     stats::SloAccumulator &classSlo(std::size_t tenant, te::Substrate s);
-    const stats::SloAccumulator &classSlo(std::size_t tenant,
-                                          te::Substrate s) const;
     void pump();
     bool anyTrackDown() const;
     bool admissible(const workloads::ArrivalEvent &ev, bool degraded) const;

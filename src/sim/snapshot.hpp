@@ -10,6 +10,8 @@
  * so a restored value is the *identical* double, not a decimal
  * round-trip approximation — the byte-identity oracle for
  * restore(checkpoint) + run(delta) == uninterrupted run depends on it.
+ * A vector of doubles is one packed line (`key = <n> <hex> ...`), so
+ * a document has O(state) lines however many samples the state holds.
  *
  * The snapshot contract (DESIGN.md §11): state is captured only at a
  * *drained epoch boundary* — no in-flight request work — where every
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -59,6 +62,10 @@ class SnapshotWriter
     /** Bit-exact double serialisation (IEEE-754 pattern as hex). */
     void putDouble(std::string_view key, double value);
 
+    /** A whole vector on one line: the count, then each element's
+     *  IEEE-754 pattern as 16 lowercase hex digits. */
+    void putDoubles(std::string_view key, std::span<const double> values);
+
     /** Full RNG stream position (state words + Box-Muller spare). */
     void putRng(std::string_view key, const Rng &rng);
 
@@ -92,13 +99,18 @@ class SnapshotReader
     std::int64_t getI64(std::string_view key) const;
     bool getBool(std::string_view key) const;
     double getDouble(std::string_view key) const;
+    std::vector<double> getDoubles(std::string_view key) const;
     void getRng(std::string_view key, Rng &rng) const;
 
   private:
     std::string fullKey(std::string_view key) const;
-    const std::string &rawValue(std::string_view key) const;
+    std::string_view rawValue(std::string_view key) const;
+    [[noreturn]] void badValue(std::string_view what, std::string_view key,
+                               std::string_view text) const;
 
-    std::unordered_map<std::string, std::string> values_;
+    /** The whole document; every key and value views into it. */
+    std::string text_;
+    std::unordered_map<std::string_view, std::string_view> values_;
     std::vector<std::size_t> scope_lens_;
     std::string prefix_;
 };

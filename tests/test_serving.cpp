@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -89,6 +91,27 @@ digest(serve::ServingSim &sim)
        << sim.now() << "|" << sim.epochsCompleted() << "\n";
     sim.trace().dump(os);
     return os.str();
+}
+
+/** Checkpoint lines whose key matches @p key_re. */
+std::size_t
+countKeys(const std::string &ck, const std::string &key_re)
+{
+    const std::regex re("^" + key_re + " = ");
+    std::istringstream in(ck);
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);)
+        n += std::regex_search(line, re) ? 1 : 0;
+    return n;
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+                0);
 }
 
 } // namespace
@@ -225,6 +248,39 @@ TEST(ServingTest, CheckpointAtEveryBoundaryStaysIdentical)
     }
     EXPECT_GE(hops, 6u);
     EXPECT_EQ(digest(*hopper), want);
+}
+
+TEST(ServingTest, LatencySamplesArePackedOneLinePerStage)
+{
+    // A checkpoint grows with state, not with samples: each stage's
+    // latencies are one packed line, restored bit for bit.
+    const serve::ServeConfig cfg = smallConfig();
+    serve::ServingSim first(cfg);
+    first.run(3);
+    std::size_t samples = 0;
+    for (std::size_t k = 0; k < cfg.stages.size(); ++k)
+        samples += first.stageSlo(k).latencies().size();
+    ASSERT_GT(samples, 0u);
+    std::ostringstream ck;
+    first.checkpoint(ck);
+    const std::string c = ck.str();
+    EXPECT_EQ(countKeys(c, R"(serve\.s\d+\.latencies)"),
+              cfg.stages.size());
+    EXPECT_EQ(countKeys(c, R"(serve\.s\d+\.latencies)"),
+              countKeys(c, R"(\S+\.latencies)"));
+    EXPECT_EQ(countKeys(c, R"(\S+\.l\d+)"), 0u);
+    EXPECT_EQ(countKeys(c, R"(\S+\.samples)"), 0u);
+
+    serve::ServingSim resumed(cfg);
+    std::istringstream in(c);
+    resumed.restore(in);
+    for (std::size_t k = 0; k < cfg.stages.size(); ++k)
+        EXPECT_TRUE(sameBits(resumed.stageSlo(k).latencies(),
+                             first.stageSlo(k).latencies()))
+            << "stage " << k;
+    std::ostringstream again;
+    resumed.checkpoint(again);
+    EXPECT_EQ(again.str(), c);
 }
 
 TEST(ServingTest, RestoreRejectsMismatchedConfig)

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -354,6 +356,49 @@ TEST(TeServingTest, CheckpointOracleWithTeEnabled)
         hopper = std::move(fresh);
     }
     EXPECT_EQ(teDigest(*hopper), want);
+}
+
+TEST(TeServingTest, ClassLatenciesArePackedOneLinePerClass)
+{
+    const auto cfg = teServeConfig(te::TeMode::Hybrid);
+    serve::ServingSim first(cfg);
+    first.run(3);
+    const std::size_t classes = first.teTable().size();
+    std::ostringstream ck;
+    first.checkpoint(ck);
+    const std::string c = ck.str();
+    const auto count = [&c](const std::string &key_re) {
+        const std::regex re("^" + key_re + " = ");
+        std::istringstream in(c);
+        std::size_t n = 0;
+        for (std::string line; std::getline(in, line);)
+            n += std::regex_search(line, re) ? 1 : 0;
+        return n;
+    };
+    EXPECT_EQ(count(R"(te\.c\d+\.latencies)"), classes);
+    EXPECT_EQ(count(R"(\S+\.l\d+)"), 0u);
+
+    serve::ServingSim resumed(cfg);
+    std::istringstream in(c);
+    resumed.restore(in);
+    std::size_t samples = 0;
+    for (std::size_t t = 0; t < classes / 2; ++t) {
+        for (const te::Substrate s :
+             {te::Substrate::Dhl, te::Substrate::Optical}) {
+            const auto &want = first.teClassSlo(t, s).latencies();
+            const auto &got = resumed.teClassSlo(t, s).latencies();
+            samples += want.size();
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_TRUE(want.empty() ||
+                        std::memcmp(got.data(), want.data(),
+                                    want.size() * sizeof(double)) == 0)
+                << "class " << t << " " << te::to_string(s);
+        }
+    }
+    EXPECT_GT(samples, 0u);
+    std::ostringstream again;
+    resumed.checkpoint(again);
+    EXPECT_EQ(again.str(), c);
 }
 
 TEST(TeServingTest, ValidateRejectsTeDispatchPolicy)

@@ -424,9 +424,11 @@ def side_of(params, body):
 # raw text.  put/get with a non-literal first argument (a composed
 # key such as "lat" + to_string(i)) is outside the literal check.
 PUT_KEY_RE = re.compile(
-    r"\.\s*put(?:String|U64|I64|Bool|Double|Rng)\s*\(\s*\"([^\"]+)\"")
+    r"\.\s*put(?:String|U64|I64|Bool|Doubles|Double|Rng)"
+    r"\s*\(\s*\"([^\"]+)\"")
 GET_KEY_RE = re.compile(
-    r"\.\s*(?:get(?:String|U64|I64|Bool|Double|Rng)|has)\s*\(\s*\"([^\"]+)\"")
+    r"\.\s*(?:get(?:String|U64|I64|Bool|Doubles|Double|Rng)|has)"
+    r"\s*\(\s*\"([^\"]+)\"")
 
 
 # ---------------------------------------------------------------------------
@@ -1253,6 +1255,48 @@ void Mini::restore(std::istream &is) {
         check("snapshot ctor-detected",
               any(r == "snapshot-coverage" and "hidden_" in m
                   for _p, _l, r, m in f))
+
+        # A3 covers packed vectors: a putDoubles key nobody reads is
+        # reported, and a matched putDoubles/getDoubles pair is clean.
+        packed_hpp = """\
+class Packed {
+  public:
+    void saveState(sim::SnapshotWriter &w) const;
+    void restoreState(sim::SnapshotReader &r);
+  private:
+    std::vector<double> samples_;
+};
+"""
+        _write_tree(os.path.join(tmp, "snap_packed_bad"), {
+            "src/sim/p.hpp": packed_hpp,
+            "src/sim/p.cpp": """\
+void Packed::saveState(sim::SnapshotWriter &w) const {
+    w.putDoubles("samples", samples_);
+    w.putDoubles("x", samples_);
+}
+void Packed::restoreState(sim::SnapshotReader &r) {
+    samples_ = r.getDoubles("samples");
+}
+""",
+        })
+        f = analyze_tree(os.path.join(tmp, "snap_packed_bad"))
+        check("snapshot packed write-only key",
+              [(r, "'x'" in m) for _p, _l, r, m in f]
+              == [("snapshot-keys", True)])
+
+        _write_tree(os.path.join(tmp, "snap_packed_ok"), {
+            "src/sim/p.hpp": packed_hpp,
+            "src/sim/p.cpp": """\
+void Packed::saveState(sim::SnapshotWriter &w) const {
+    w.putDoubles("samples", samples_);
+}
+void Packed::restoreState(sim::SnapshotReader &r) {
+    samples_ = r.getDoubles("samples");
+}
+""",
+        })
+        f = analyze_tree(os.path.join(tmp, "snap_packed_ok"))
+        check("snapshot packed pair clean", f == [])
 
         # A5/A6/A7 hazards.
         _write_tree(os.path.join(tmp, "haz_ok"), HAZARD_OK_FIXTURE)
