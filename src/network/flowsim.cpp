@@ -17,60 +17,11 @@
 #include <limits>
 
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 
 namespace dhl {
 namespace network {
 
 namespace {
-
-/**
- * Exact parallel min over [0, n): contiguous ranges are reduced
- * concurrently with the serial loop and the per-range minima are
- * folded in range order.  min never rounds, so the result is
- * bit-identical to the serial scan for any range split.
- */
-template <typename Value>
-double
-rangeMin(ThreadPool &pool, std::size_t grain, std::size_t n,
-         const Value &value)
-{
-    const std::size_t jobs =
-        std::min(pool.size(), (n + grain - 1) / grain);
-    std::vector<double> local(jobs,
-                              std::numeric_limits<double>::infinity());
-    const std::size_t chunk = (n + jobs - 1) / jobs;
-    pool.parallelFor(jobs, [&](std::size_t j) {
-        const std::size_t lo = j * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        double m = std::numeric_limits<double>::infinity();
-        for (std::size_t i = lo; i < hi; ++i)
-            m = std::min(m, value(i));
-        local[j] = m;
-    });
-    double m = std::numeric_limits<double>::infinity();
-    for (const double v : local)
-        m = std::min(m, v);
-    return m;
-}
-
-/** Run body(i) for every i in [0, n) on the pool in contiguous
- *  chunks; the bodies must be independent. */
-template <typename Body>
-void
-rangeFor(ThreadPool &pool, std::size_t grain, std::size_t n,
-         const Body &body)
-{
-    const std::size_t jobs =
-        std::min(pool.size(), (n + grain - 1) / grain);
-    const std::size_t chunk = (n + jobs - 1) / jobs;
-    pool.parallelFor(jobs, [&](std::size_t j) {
-        const std::size_t lo = j * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i)
-            body(i);
-    });
-}
 
 /** Absolute byte floor below which a flow counts as drained. */
 constexpr double kDrainEpsilon = 1e-6;
@@ -196,33 +147,12 @@ FlowSim::linkUtilisation(int link) const
 }
 
 void
-FlowSim::setParallel(ThreadPool *pool, std::size_t grain)
-{
-    fatal_if(grain == 0, "parallel scan grain must be positive");
-    pool_ = pool;
-    grain_ = grain;
-}
-
-void
 FlowSim::drainFlows()
 {
     const double dt = now() - last_update_;
     last_update_ = now();
     if (dt <= 0.0)
         return;
-    if (pool_ != nullptr && flows_.size() >= grain_ * 2) {
-        std::vector<Flow *> order;
-        order.reserve(flows_.size());
-        for (auto &[id, f] : flows_) {
-            (void)id;
-            order.push_back(&f);
-        }
-        rangeFor(*pool_, grain_, order.size(), [&](std::size_t i) {
-            Flow &f = *order[i];
-            f.remaining = std::max(0.0, f.remaining - f.rate * dt);
-        });
-        return;
-    }
     for (auto &[id, f] : flows_) {
         (void)id;
         f.remaining = std::max(0.0, f.remaining - f.rate * dt);
@@ -274,19 +204,9 @@ FlowSim::reallocate()
     while (remaining_flows > 0) {
         // Find the bottleneck share.
         double share = std::numeric_limits<double>::infinity();
-        if (pool_ != nullptr && links_.size() >= grain_ * 2) {
-            share = rangeMin(
-                *pool_, grain_, links_.size(), [this](std::size_t i) {
-                    const Link &l = links_[i];
-                    return l.unfrozen > 0
-                               ? l.residual / l.unfrozen
-                               : std::numeric_limits<double>::infinity();
-                });
-        } else {
-            for (const auto &l : links_) {
-                if (l.unfrozen > 0)
-                    share = std::min(share, l.residual / l.unfrozen);
-            }
+        for (const auto &l : links_) {
+            if (l.unfrozen > 0)
+                share = std::min(share, l.residual / l.unfrozen);
         }
         panic_if(!std::isfinite(share),
                  "active flows but no link carries any of them");
@@ -324,26 +244,10 @@ FlowSim::reallocate()
 
     // Schedule the next completion.
     double next = std::numeric_limits<double>::infinity();
-    if (pool_ != nullptr && flows_.size() >= grain_ * 2) {
-        std::vector<const Flow *> order;
-        order.reserve(flows_.size());
-        for (const auto &[id, f] : flows_) {
-            (void)id;
-            order.push_back(&f);
-        }
-        next = rangeMin(
-            *pool_, grain_, order.size(), [&order](std::size_t i) {
-                const Flow &f = *order[i];
-                panic_if(f.rate <= 0.0,
-                         "flow allocated a non-positive rate");
-                return f.remaining / f.rate;
-            });
-    } else {
-        for (const auto &[id, f] : flows_) {
-            (void)id;
-            panic_if(f.rate <= 0.0, "flow allocated a non-positive rate");
-            next = std::min(next, f.remaining / f.rate);
-        }
+    for (const auto &[id, f] : flows_) {
+        (void)id;
+        panic_if(f.rate <= 0.0, "flow allocated a non-positive rate");
+        next = std::min(next, f.remaining / f.rate);
     }
     completion_event_ = simulator().schedule(
         std::max(0.0, next), [this] { onCompletionEvent(); });

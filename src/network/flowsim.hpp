@@ -35,9 +35,6 @@
 #include "sim/simulator.hpp"
 
 namespace dhl {
-
-class ThreadPool;
-
 namespace network {
 
 /** Identifier of a flow inside a FlowSim. */
@@ -107,20 +104,6 @@ class FlowSim : public sim::SimObject
     /** Utilisation of a link right now, in [0, 1].  O(1). */
     double linkUtilisation(int link) const;
 
-    /**
-     * Run the hot scans — the water-filling bottleneck search, the
-     * per-flow drain, and the next-completion search — on @p pool when
-     * the population reaches 2x @p grain elements (null pool = serial,
-     * the default).  Exactness contract: every parallel reduction
-     * partitions the id-ordered population into contiguous ranges,
-     * reduces each range with the serial loop, and folds the per-range
-     * minima in range order; min is exact and the drain is
-     * elementwise, so results are byte-identical to the serial scans
-     * for any pool size.  The freeze pass of the water-filling stays
-     * serial — it is the part with loop-carried dependencies.
-     */
-    void setParallel(ThreadPool *pool, std::size_t grain = 256);
-
   private:
     struct Flow
     {
@@ -162,8 +145,6 @@ class FlowSim : public sim::SimObject
 
     std::vector<Link> links_;
     std::map<FlowId, Flow> flows_; ///< id order ⇒ deterministic.
-    ThreadPool *pool_ = nullptr;   ///< Parallel scans (see setParallel).
-    std::size_t grain_ = 256;
     FlowId next_id_;
     double last_update_;
     double bytes_delivered_;

@@ -36,8 +36,7 @@ MaintenanceScheduler::MaintenanceScheduler(
       states_(std::move(states)),
       cfg_(cfg),
       open_(cfg.windows.size(), false),
-      pending_(cfg.windows.size()),
-      started_by_window_(cfg.windows.size(), 0)
+      pending_(cfg.windows.size())
 {
     fatal_if(states_.empty(),
              "maintenance scheduler needs at least one track registry");
@@ -60,14 +59,6 @@ MaintenanceScheduler::windowOpen(std::size_t w) const
 {
     fatal_if(w >= open_.size(), "window index out of range");
     return open_[w];
-}
-
-std::uint64_t
-MaintenanceScheduler::windowStarted(std::size_t w) const
-{
-    fatal_if(w >= started_by_window_.size(),
-             "window index out of range");
-    return started_by_window_[w];
 }
 
 std::string
@@ -108,7 +99,6 @@ MaintenanceScheduler::begin(std::size_t w, double start)
     panic_if(open_[w], "maintenance window reopened while still open");
     open_[w] = true;
     ++started_;
-    ++started_by_window_[w];
     stat_started_->increment();
     for (auto *state : targets(w))
         state->pushLaunchInhibit(reason(w));
@@ -154,7 +144,6 @@ MaintenanceScheduler::saveState(sim::SnapshotWriter &w) const
         key += std::to_string(i);
         sim::SnapshotScope<sim::SnapshotWriter> ws(w, key);
         w.putBool("open", open_[i]);
-        w.putU64("count", started_by_window_[i]);
         const Pending &p = pending_[i];
         w.putBool("pending", p.active);
         if (p.active) {
@@ -181,7 +170,6 @@ MaintenanceScheduler::restoreState(sim::SnapshotReader &r)
         key += std::to_string(i);
         sim::SnapshotScope<sim::SnapshotReader> ws(r, key);
         open_[i] = r.getBool("open");
-        started_by_window_[i] = r.getU64("count");
         Pending &p = pending_[i];
         p.active = r.getBool("pending");
         if (!p.active)

@@ -79,12 +79,6 @@ class MaintenanceScheduler : public sim::SimObject
     /** Window occurrences opened so far. */
     std::uint64_t windowsStarted() const { return started_; }
 
-    /** Occurrences of window @p w opened so far.  Sharded fleets run
-     *  one scheduler per shard with fleet-wide windows replicated on
-     *  every shard; per-window counts let the coordinator aggregate
-     *  without double-counting replicas (see ops::FleetOps). */
-    std::uint64_t windowStarted(std::size_t w) const;
-
     /** Window occurrences closed so far. */
     std::uint64_t windowsCompleted() const { return completed_; }
 
@@ -133,7 +127,6 @@ class MaintenanceScheduler : public sim::SimObject
     MaintenanceConfig cfg_;
     std::vector<bool> open_;
     std::vector<Pending> pending_;
-    std::vector<std::uint64_t> started_by_window_;
     std::uint64_t started_ = 0;
     std::uint64_t completed_ = 0;
 

@@ -77,6 +77,48 @@ degradedConfig()
     return cfg;
 }
 
+/** A 64-track RoundRobin fleet with two-track plant domains, faults,
+ *  one per-track window and one fleet-wide (track = -1) window. */
+serve::ServeConfig
+fleetWideWindowConfig()
+{
+    serve::ServeConfig cfg;
+    cfg.dhl = core::defaultConfig();
+    cfg.dhl.docking_stations = 2;
+    cfg.tracks = 64;
+    cfg.seed = 21;
+    cfg.epoch = 300.0;
+    cfg.carts_per_track = 2;
+    cfg.max_pending = 512;
+    cfg.policy = ops::DispatchPolicy::RoundRobin;
+    workloads::RequestClass bulk{"bulk", 3.0, u::gigabytes(192), 0.0, 0};
+    workloads::RequestClass urgent{"urgent", 1.0, u::gigabytes(32), 0.0,
+                                   1};
+    cfg.stages = {
+        workloads::StageSpec{"ramp", 300.0, 0.0, 1.5, {bulk, urgent}},
+        workloads::StageSpec{"peak", 600.0, 1.5, 1.5, {bulk, urgent}},
+        workloads::StageSpec{"drain", 300.0, 1.5, 0.0, {bulk, urgent}},
+    };
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 21;
+    cfg.faults.lim_mtbf = 2.0;
+    cfg.faults.lim_mttr = 0.1;
+    cfg.faults.track_mtbf = 4.0;
+    cfg.faults.track_mttr = 0.2;
+    cfg.faults.station_mtbf = 3.0;
+    cfg.faults.station_mttr = 0.05;
+    cfg.faults.cart_repair_per_trip = 5e-3;
+    cfg.faults.cart_repair_hours = 0.05;
+    cfg.maintenance.windows.push_back({400.0, 150.0, 0.0, 5});
+    cfg.maintenance.windows.push_back({700.0, 60.0, 0.0, -1});
+    cfg.domains.enabled = true;
+    cfg.domains.domain_size = 2;
+    cfg.domains.plant_mtbf = 0.5;
+    cfg.domains.plant_mttr = 0.05;
+    cfg.domains.seed = 21;
+    return cfg;
+}
+
 /** Everything the equivalence property compares: formatted SLO rows,
  *  fleet totals, and the full trace. */
 std::string
@@ -192,39 +234,48 @@ TEST(ServingTest, MaintenanceWindowShowsUpInStageAvailability)
 TEST(ServingTest, CheckpointRestoreMatchesUninterruptedRun)
 {
     // The tentpole property, with every stateful subsystem active:
-    // component faults, a planned maintenance window, and correlated
+    // component faults, planned maintenance windows, and correlated
     // plant outages.  Restoring a mid-run checkpoint into a freshly
     // built fleet and running to completion must be byte-identical to
     // the run that was never interrupted — SLO tables, totals, trace,
-    // and a re-checkpoint.
-    const serve::ServeConfig cfg = degradedConfig();
+    // and a re-checkpoint.  The second input is a 64-track RoundRobin
+    // fleet whose plan includes a fleet-wide window (track = -1).
+    struct Case
+    {
+        serve::ServeConfig cfg;
+        std::size_t stop_after;
+    };
+    for (const Case &c : {Case{degradedConfig(), 3},
+                          Case{fleetWideWindowConfig(), 2}}) {
+        const serve::ServeConfig &cfg = c.cfg;
+        SCOPED_TRACE(ops::to_string(cfg.policy));
+        serve::ServingSim oracle(cfg);
+        oracle.trace().enable();
+        oracle.run();
+        EXPECT_GT(oracle.totalServed(), 0u);
+        const std::string want = digest(oracle);
+        std::ostringstream want_ck;
+        oracle.checkpoint(want_ck);
 
-    serve::ServingSim oracle(cfg);
-    oracle.trace().enable();
-    oracle.run();
-    EXPECT_GT(oracle.totalServed(), 0u);
-    const std::string want = digest(oracle);
-    std::ostringstream want_ck;
-    oracle.checkpoint(want_ck);
+        serve::ServingSim first(cfg);
+        first.trace().enable();
+        first.run(c.stop_after); // an interior drained epoch boundary
+        EXPECT_FALSE(first.done());
+        std::stringstream ck;
+        first.checkpoint(ck);
 
-    serve::ServingSim first(cfg);
-    first.trace().enable();
-    first.run(3); // stop at an interior drained epoch boundary
-    EXPECT_FALSE(first.done());
-    std::stringstream ck;
-    first.checkpoint(ck);
+        serve::ServingSim resumed(cfg);
+        resumed.trace().enable(); // enablement is host state, not simulated
+        resumed.restore(ck);
+        EXPECT_EQ(resumed.epochsCompleted(), first.epochsCompleted());
+        EXPECT_EQ(resumed.now(), first.now());
+        resumed.run();
 
-    serve::ServingSim resumed(cfg);
-    resumed.trace().enable(); // enablement is host state, not simulated
-    resumed.restore(ck);
-    EXPECT_EQ(resumed.epochsCompleted(), first.epochsCompleted());
-    EXPECT_EQ(resumed.now(), first.now());
-    resumed.run();
-
-    EXPECT_EQ(digest(resumed), want);
-    std::ostringstream got_ck;
-    resumed.checkpoint(got_ck);
-    EXPECT_EQ(got_ck.str(), want_ck.str());
+        EXPECT_EQ(digest(resumed), want);
+        std::ostringstream got_ck;
+        resumed.checkpoint(got_ck);
+        EXPECT_EQ(got_ck.str(), want_ck.str());
+    }
 }
 
 TEST(ServingTest, CheckpointAtEveryBoundaryStaysIdentical)
@@ -328,6 +379,9 @@ TEST(ServingTest, ValidateRejectsNonsense)
     EXPECT_THROW(serve::validate(cfg), FatalError);
     cfg = smallConfig();
     cfg.max_pending = 0;
+    EXPECT_THROW(serve::validate(cfg), FatalError);
+    cfg = smallConfig();
+    cfg.des_shards = 2;
     EXPECT_THROW(serve::validate(cfg), FatalError);
 }
 

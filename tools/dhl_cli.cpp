@@ -445,10 +445,6 @@ cmdServe(int argc, const char *const *argv)
                    "track is down",
                    "0");
     args.addOption("seed", "master serving seed", "1");
-    args.addOption("des-shards",
-                   "partition the fleet DES onto N cores "
-                   "(byte-identical to 1)",
-                   "1");
     args.addSwitch("te",
                    "enable the traffic-engineering controller "
                    "(hybrid DHL/optical substrate split)");
@@ -504,7 +500,6 @@ cmdServe(int argc, const char *const *argv)
     cfg.policy = ops::parseDispatchPolicy(args.get("policy"));
     cfg.min_priority_degraded =
         static_cast<int>(args.getInt("min-priority"));
-    cfg.des_shards = args.getCount("des-shards");
     if (args.getSwitch("te")) {
         cfg.te.enabled = true;
         cfg.te.mode = te::parseTeMode(args.get("te-mode"));
