@@ -22,7 +22,8 @@ ArgParser::addOption(const std::string &name, const std::string &help,
                      const std::string &default_value)
 {
     fatal_if(name.empty(), "option needs a name");
-    fatal_if(options_.count(name) != 0, "duplicate option: --" + name);
+    if (options_.count(name) != 0) [[unlikely]]
+        fatal("duplicate option: --" + name);
     options_.emplace(name, Option{help, default_value, false, false, ""});
 }
 
@@ -30,7 +31,8 @@ void
 ArgParser::addSwitch(const std::string &name, const std::string &help)
 {
     fatal_if(name.empty(), "switch needs a name");
-    fatal_if(options_.count(name) != 0, "duplicate option: --" + name);
+    if (options_.count(name) != 0) [[unlikely]]
+        fatal("duplicate option: --" + name);
     options_.emplace(name, Option{help, "", true, false, ""});
 }
 
@@ -63,31 +65,32 @@ ArgParser::parse(int argc, const char *const *argv, std::ostream &out)
                 has_inline = true;
             }
             auto it = options_.find(name);
-            fatal_if(it == options_.end(), "unknown flag: --" + name);
+            if (it == options_.end()) [[unlikely]]
+                fatal("unknown flag: --" + name);
             Option &opt = it->second;
             opt.provided = true;
             if (opt.is_switch) {
-                fatal_if(has_inline,
-                         "switch --" + name + " takes no value");
+                if (has_inline) [[unlikely]]
+                    fatal("switch --" + name + " takes no value");
                 opt.value = "1";
             } else if (has_inline) {
                 opt.value = inline_value;
             } else {
-                fatal_if(i + 1 >= argc,
-                         "flag --" + name + " needs a value");
+                if (i + 1 >= argc) [[unlikely]]
+                    fatal("flag --" + name + " needs a value");
                 opt.value = argv[++i];
             }
         } else {
-            fatal_if(next_positional >= positionals_.size(),
-                     "unexpected positional argument: " + arg);
+            if (next_positional >= positionals_.size()) [[unlikely]]
+                fatal("unexpected positional argument: " + arg);
             positionals_[next_positional].value = arg;
             positionals_[next_positional].provided = true;
             ++next_positional;
         }
     }
     for (const auto &p : positionals_) {
-        fatal_if(p.required && !p.provided,
-                 "missing required argument: <" + p.name + ">");
+        if (p.required && !p.provided) [[unlikely]]
+            fatal("missing required argument: <" + p.name + ">");
     }
     return true;
 }
@@ -96,7 +99,8 @@ const ArgParser::Option &
 ArgParser::find(const std::string &name) const
 {
     auto it = options_.find(name);
-    fatal_if(it == options_.end(), "unregistered option: --" + name);
+    if (it == options_.end()) [[unlikely]]
+        fatal("unregistered option: --" + name);
     return it->second;
 }
 
@@ -113,8 +117,8 @@ ArgParser::getDouble(const std::string &name) const
     const std::string v = get(name);
     char *end = nullptr;
     const double d = std::strtod(v.c_str(), &end);
-    fatal_if(end == v.c_str() || *end != '\0',
-             "--" + name + " expects a number, got '" + v + "'");
+    if (end == v.c_str() || *end != '\0') [[unlikely]]
+        fatal("--" + name + " expects a number, got '" + v + "'");
     return d;
 }
 
@@ -125,10 +129,10 @@ ArgParser::getInt(const std::string &name) const
     char *end = nullptr;
     errno = 0;
     const long l = std::strtol(v.c_str(), &end, 10);
-    fatal_if(end == v.c_str() || *end != '\0',
-             "--" + name + " expects an integer, got '" + v + "'");
-    fatal_if(errno == ERANGE,
-             "--" + name + " is out of range, got '" + v + "'");
+    if (end == v.c_str() || *end != '\0') [[unlikely]]
+        fatal("--" + name + " expects an integer, got '" + v + "'");
+    if (errno == ERANGE) [[unlikely]]
+        fatal("--" + name + " is out of range, got '" + v + "'");
     return l;
 }
 
@@ -136,8 +140,9 @@ std::size_t
 ArgParser::getCount(const std::string &name) const
 {
     const long l = getInt(name);
-    fatal_if(l < 0, "--" + name + " expects a non-negative integer, got '" +
-                        get(name) + "'");
+    if (l < 0) [[unlikely]]
+        fatal("--" + name + " expects a non-negative integer, got '" +
+              get(name) + "'");
     return static_cast<std::size_t>(l);
 }
 
@@ -145,7 +150,8 @@ bool
 ArgParser::getSwitch(const std::string &name) const
 {
     const Option &opt = find(name);
-    fatal_if(!opt.is_switch, "--" + name + " is not a switch");
+    if (!opt.is_switch) [[unlikely]]
+        fatal("--" + name + " is not a switch");
     return opt.provided;
 }
 
@@ -160,8 +166,8 @@ ArgParser::positional(const std::string &name) const
 {
     for (const auto &p : positionals_) {
         if (p.name == name) {
-            fatal_if(p.required && !p.provided,
-                     "missing required argument: <" + name + ">");
+            if (p.required && !p.provided) [[unlikely]]
+                fatal("missing required argument: <" + name + ">");
             return p.value;
         }
     }

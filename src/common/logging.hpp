@@ -109,33 +109,15 @@ void inform(const std::string &msg);
 void debugLog(const std::string &msg);
 
 /**
- * fatal() with lazy stream formatting:
- *   fatal_if(len <= 0, [&]{ return "track length must be positive"; });
- * kept as a simple overload taking a prebuilt string for clarity.
- */
-inline void
-fatal_if(bool condition, const std::string &msg)
-{
-    if (condition)
-        fatal(msg);
-}
-
-/** panic() helper mirroring fatal_if(). */
-inline void
-panic_if(bool condition, const std::string &msg)
-{
-    if (condition)
-        panic(msg);
-}
-
-/**
- * Hot-path overloads: a string literal decays to `const char *`, which
- * is an exact match and therefore preferred over the user conversion to
- * `std::string` above.  The message is only materialised as a string in
- * the failure branch, so guarding a per-event code path with fatal_if /
- * panic_if costs a branch — not a heap-allocating std::string
- * construction per call (which the DES kernel microbenchmarks showed
- * dominating schedule()).
+ * Guard helpers: fatal()/panic() if @p condition holds.  They take only
+ * a `const char *` message, so a guard costs a branch and never builds a
+ * std::string on the success path (a per-call heap allocation that the
+ * DES kernel microbenchmarks showed dominating schedule()).  A message
+ * that must be formatted (ids, names, values) goes in an explicit
+ * branch instead, so it is built only on failure:
+ *
+ *   if (bytes > free) [[unlikely]]
+ *       fatal("load overflows cart " + std::to_string(id));
  */
 [[noreturn]] void fatalCold(const char *msg);
 [[noreturn]] void panicCold(const char *msg);
@@ -152,6 +134,31 @@ panic_if(bool condition, const char *msg)
 {
     if (condition) [[unlikely]]
         panicCold(msg);
+}
+
+/**
+ * Retired built-message guards.  Nothing in src/, tools/, bench/,
+ * tests/ or examples/ calls them, and the warnings-as-errors build
+ * rejects any new caller (tests/negative_compile/nc_built_guard_message
+ * pins that).  They remain only because the e2ebench harness still has
+ * two such calls; delete both overloads together with those calls.
+ */
+[[deprecated("build the message in an explicit if-branch: "
+             "if (cond) [[unlikely]] fatal(msg);")]]
+inline void
+fatal_if(bool condition, const std::string &msg)
+{
+    if (condition) [[unlikely]]
+        fatal(msg);
+}
+
+[[deprecated("build the message in an explicit if-branch: "
+             "if (cond) [[unlikely]] panic(msg);")]]
+inline void
+panic_if(bool condition, const std::string &msg)
+{
+    if (condition) [[unlikely]]
+        panic(msg);
 }
 
 } // namespace dhl

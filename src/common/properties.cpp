@@ -43,14 +43,14 @@ Properties::fromString(const std::string &text)
         if (line.empty())
             continue;
         const auto eq = line.find('=');
-        fatal_if(eq == std::string::npos,
-                 "properties line " + std::to_string(line_no) +
-                     " has no '=': " + line);
+        if (eq == std::string::npos) [[unlikely]]
+            fatal("properties line " + std::to_string(line_no) +
+                  " has no '=': " + line);
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
-        fatal_if(key.empty(), "properties line " +
-                                  std::to_string(line_no) +
-                                  " has an empty key");
+        if (key.empty()) [[unlikely]]
+            fatal("properties line " + std::to_string(line_no) +
+                  " has an empty key");
         props.set(key, value);
     }
     return props;
@@ -60,7 +60,8 @@ Properties
 Properties::fromFile(const std::string &path)
 {
     std::ifstream file(path);
-    fatal_if(!file, "cannot open properties file: " + path);
+    if (!file) [[unlikely]]
+        fatal("cannot open properties file: " + path);
     std::ostringstream buf;
     buf << file.rdbuf();
     return fromString(buf.str());
@@ -87,8 +88,8 @@ Properties::getDouble(const std::string &key, double fallback) const
     const std::string v = get(key);
     char *end = nullptr;
     const double d = std::strtod(v.c_str(), &end);
-    fatal_if(end == v.c_str() || *end != '\0',
-             "property '" + key + "' expects a number, got '" + v + "'");
+    if (end == v.c_str() || *end != '\0') [[unlikely]]
+        fatal("property '" + key + "' expects a number, got '" + v + "'");
     return d;
 }
 
@@ -100,9 +101,8 @@ Properties::getInt(const std::string &key, long fallback) const
     const std::string v = get(key);
     char *end = nullptr;
     const long l = std::strtol(v.c_str(), &end, 10);
-    fatal_if(end == v.c_str() || *end != '\0',
-             "property '" + key + "' expects an integer, got '" + v +
-                 "'");
+    if (end == v.c_str() || *end != '\0') [[unlikely]]
+        fatal("property '" + key + "' expects an integer, got '" + v + "'");
     return l;
 }
 

@@ -28,20 +28,40 @@ dumpLine(std::ostream &os, const std::string &prefix,
        << " # " << desc << "\n";
 }
 
+/** The percentile rank formula over an already sorted, non-empty
+ *  sample. */
+double
+sortedPercentile(const std::vector<double> &sorted, double p)
+{
+    fatal_if(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");
+    const double rank = p / 100.0 *
+                        static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
 } // namespace
 
 double
 percentile(std::vector<double> values, double p)
 {
     fatal_if(values.empty(), "percentile of an empty sample");
-    fatal_if(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");
     std::sort(values.begin(), values.end());
-    const double rank = p / 100.0 *
-                        static_cast<double>(values.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] + frac * (values[hi] - values[lo]);
+    return sortedPercentile(values, p);
+}
+
+std::vector<double>
+percentiles(std::vector<double> values, std::initializer_list<double> ps)
+{
+    fatal_if(values.empty(), "percentile of an empty sample");
+    std::sort(values.begin(), values.end());
+    std::vector<double> out;
+    out.reserve(ps.size());
+    for (const double p : ps)
+        out.push_back(sortedPercentile(values, p));
+    return out;
 }
 
 //===========================================================================
@@ -190,12 +210,12 @@ SloAccumulator::complete(double latency, double bytes)
     latencies_.push_back(latency);
 }
 
-double
-SloAccumulator::latencyPercentile(double p) const
+std::vector<double>
+SloAccumulator::latencyPercentiles(std::initializer_list<double> ps) const
 {
     if (latencies_.empty())
-        return 0.0;
-    return percentile(latencies_, p);
+        return std::vector<double>(ps.size(), 0.0);
+    return percentiles(latencies_, ps);
 }
 
 void

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -195,6 +196,14 @@ class Histogram : public StatBase
 double percentile(std::vector<double> values, double p);
 
 /**
+ * percentile() at every rank in @p ps from a single sort of @p values:
+ * element i equals percentile(values, ps[i]) bit for bit.  fatal() on
+ * an empty sample or any p outside [0, 100].
+ */
+std::vector<double> percentiles(std::vector<double> values,
+                                std::initializer_list<double> ps);
+
+/**
  * Streaming quantile estimator with O(1) memory in the sample count:
  * a fixed-bin CDF sketch over a configured value range, fronted by an
  * exact buffer for small samples (the capacity-planning subsystem
@@ -317,8 +326,10 @@ class SloAccumulator
     std::uint64_t shed() const { return shed_; }
     double bytesDelivered() const { return bytes_; }
 
-    /** Completion-latency percentile; 0 when nothing completed. */
-    double latencyPercentile(double p) const;
+    /** Completion-latency percentiles (stats::percentiles, one sort);
+     *  all 0 when nothing completed. */
+    std::vector<double>
+    latencyPercentiles(std::initializer_list<double> ps) const;
 
     /** The raw completion-latency samples, in completion order. */
     const std::vector<double> &latencies() const { return latencies_; }

@@ -50,11 +50,13 @@ Cart::Cart(CartId id, const DhlConfig &cfg,
       cfg_(cfg),
       state_(CartState::Stored),
       place_(CartPlace::Library),
-      trips_(0)
+      trips_(0),
+      rated_cycles_(storage::ratedCycles(connector)),
+      failure_per_trip_(failure_per_trip)
 {
     ssds_.reserve(cfg.ssds_per_cart);
     for (std::size_t i = 0; i < cfg.ssds_per_cart; ++i)
-        ssds_.emplace_back(cfg.ssd, connector, failure_per_trip);
+        ssds_.emplace_back(cfg.ssd, failure_per_trip);
 }
 
 double
@@ -76,8 +78,8 @@ void
 Cart::loadBytes(double bytes)
 {
     fatal_if(bytes < 0.0, "load size must be non-negative");
-    fatal_if(bytes > freeBytes() * (1.0 + 1e-9),
-             "load overflows cart " + std::to_string(id_));
+    if (bytes > freeBytes() * (1.0 + 1e-9)) [[unlikely]]
+        fatal("load overflows cart " + std::to_string(id_));
     const double per = bytes / static_cast<double>(ssds_.size());
     for (auto &s : ssds_)
         (void)s.write(per);
@@ -87,8 +89,8 @@ void
 Cart::unloadBytes(double bytes)
 {
     fatal_if(bytes < 0.0, "unload size must be non-negative");
-    fatal_if(bytes > storedBytes() + 1e-3,
-             "unload beyond stored bytes on cart " + std::to_string(id_));
+    if (bytes > storedBytes() + 1e-3) [[unlikely]]
+        fatal("unload beyond stored bytes on cart " + std::to_string(id_));
     const double per = bytes / static_cast<double>(ssds_.size());
     for (auto &s : ssds_)
         s.trim(std::min(per, s.storedBytes()));
@@ -104,9 +106,10 @@ Cart::eraseAll()
 void
 Cart::beginUndock()
 {
-    panic_if(state_ != CartState::Stored && state_ != CartState::Docked,
-             "cart " + std::to_string(id_) + " cannot undock from state " +
-                 to_string(state_));
+    if (state_ != CartState::Stored &&
+        state_ != CartState::Docked) [[unlikely]]
+        panic("cart " + std::to_string(id_) + " cannot undock from state " +
+              to_string(state_));
     state_ = CartState::Undocking;
     matingCycle();
 }
@@ -114,8 +117,8 @@ Cart::beginUndock()
 void
 Cart::launch()
 {
-    panic_if(state_ != CartState::Undocking,
-             "cart " + std::to_string(id_) + " launched without undocking");
+    if (state_ != CartState::Undocking) [[unlikely]]
+        panic("cart " + std::to_string(id_) + " launched without undocking");
     state_ = CartState::InFlight;
     place_ = CartPlace::Track;
 }
@@ -123,8 +126,8 @@ Cart::launch()
 void
 Cart::beginDock(CartPlace destination)
 {
-    panic_if(state_ != CartState::InFlight,
-             "cart " + std::to_string(id_) + " docking while not in flight");
+    if (state_ != CartState::InFlight) [[unlikely]]
+        panic("cart " + std::to_string(id_) + " docking while not in flight");
     panic_if(destination == CartPlace::Track, "cannot dock onto the track");
     state_ = CartState::Docking;
     place_ = destination;
@@ -134,8 +137,9 @@ Cart::beginDock(CartPlace destination)
 void
 Cart::finishDock()
 {
-    panic_if(state_ != CartState::Docking,
-             "cart " + std::to_string(id_) + " finishing dock it never began");
+    if (state_ != CartState::Docking) [[unlikely]]
+        panic("cart " + std::to_string(id_) +
+              " finishing dock it never began");
     state_ = place_ == CartPlace::Library ? CartState::Stored
                                           : CartState::Docked;
     matingCycle();
@@ -144,30 +148,32 @@ Cart::finishDock()
 void
 Cart::beginIo()
 {
-    panic_if(state_ != CartState::Docked,
-             "cart " + std::to_string(id_) + " cannot serve IO from state " +
-                 to_string(state_));
+    if (state_ != CartState::Docked) [[unlikely]]
+        panic("cart " + std::to_string(id_) + " cannot serve IO from state " +
+              to_string(state_));
     state_ = CartState::Busy;
 }
 
 void
 Cart::finishIo()
 {
-    panic_if(state_ != CartState::Busy,
-             "cart " + std::to_string(id_) + " finished IO it never began");
+    if (state_ != CartState::Busy) [[unlikely]]
+        panic("cart " + std::to_string(id_) + " finished IO it never began");
     state_ = CartState::Docked;
 }
 
 void
-Cart::matingCycle()
+Cart::wearOutConnectors()
 {
     for (auto &s : ssds_)
-        s.matingCycle();
+        s.wearOutConnector();
 }
 
 std::size_t
 Cart::rollTripFailures(Rng &rng)
 {
+    if (failure_per_trip_ <= 0.0)
+        return 0;
     std::size_t failed = 0;
     for (auto &s : ssds_) {
         if (s.rollTripFailure(rng))
@@ -192,6 +198,7 @@ Cart::repairAll()
 {
     for (auto &s : ssds_)
         s.repair();
+    cycles_ = 0;
 }
 
 } // namespace core

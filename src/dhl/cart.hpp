@@ -1,8 +1,8 @@
 /**
  * @file
  * The maglev cart entity used by the event-driven DHL simulation: state
- * machine, location, payload accounting, and per-SSD behavioural models
- * (wear and failure injection).
+ * machine, location, payload accounting, connector wear, and per-SSD
+ * behavioural models (failure injection).
  */
 
 #ifndef DHL_DHL_CART_HPP
@@ -92,16 +92,49 @@ class Cart
     void beginIo();
     void finishIo();
 
-    /** Record one mating cycle on every SSD connector. */
-    void matingCycle();
+    /**
+     * Record one mating cycle (a dock or an undock), which mates every
+     * SSD connector of the cart at once.  The cycle that exceeds the
+     * connector's rated life marks every healthy SSD ConnectorWorn;
+     * after it no SSD is healthy until repairAll() resets the count,
+     * so later cycles have nothing left to mark.
+     */
+    void
+    matingCycle()
+    {
+        if (++cycles_ == rated_cycles_ + 1) [[unlikely]]
+            wearOutConnectors();
+    }
 
-    /** Roll per-SSD trip-failure dice; returns # of SSDs that failed. */
+    /** Mating cycles since construction or the last repairAll(). */
+    std::uint64_t matingCycles() const { return cycles_; }
+
+    /**
+     * Accumulated connector wear as a fraction of the rated mating
+     * cycles (1.0 = at rated life; can exceed 1.0 once worn).  The ops
+     * layer's wear coupling scales cart breakdown probability and
+     * station MTBF with this — the state-dependent-failure hook that
+     * replaces the memoryless assumption.
+     */
+    double
+    wearFraction() const
+    {
+        return static_cast<double>(cycles_) /
+               static_cast<double>(rated_cycles_);
+    }
+
+    /**
+     * Roll per-SSD trip-failure dice, one draw per healthy SSD in SSD
+     * order; returns # of SSDs that failed.  With a zero per-trip
+     * probability no draw is taken.
+     */
     std::size_t rollTripFailures(Rng &rng);
 
     /** Number of SSDs currently not healthy. */
     std::size_t unhealthySsds() const;
 
-    /** Repair all SSDs (library maintenance). */
+    /** Repair all SSDs and reset the mating-cycle count (library
+     *  maintenance: the connectors are replaced with the devices). */
     void repairAll();
 
     /** Record a mechanical breakdown (cart pulled into the library's
@@ -123,7 +156,12 @@ class Cart
     CartPlace place_;
     std::uint64_t trips_;
     std::uint64_t breakdowns_ = 0;
+    std::uint64_t rated_cycles_;
+    std::uint64_t cycles_ = 0;
+    double failure_per_trip_;
     std::vector<storage::SsdModel> ssds_;
+
+    void wearOutConnectors();
 };
 
 } // namespace core

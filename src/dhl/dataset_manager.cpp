@@ -38,8 +38,8 @@ const std::vector<CartId> &
 DatasetManager::registerDataset(const std::string &name, double bytes)
 {
     fatal_if(name.empty(), "a dataset needs a name");
-    fatal_if(datasets_.count(name) != 0,
-             "dataset '" + name + "' is already registered");
+    if (datasets_.count(name) != 0) [[unlikely]]
+        fatal("dataset '" + name + "' is already registered");
     fatal_if(!(bytes > 0.0), "dataset size must be positive");
 
     const double capacity = controller_.config().cartCapacity().value();
@@ -77,7 +77,8 @@ const DatasetManager::Entry &
 DatasetManager::entry(const std::string &name) const
 {
     auto it = datasets_.find(name);
-    fatal_if(it == datasets_.end(), "unknown dataset: " + name);
+    if (it == datasets_.end()) [[unlikely]]
+        fatal("unknown dataset: " + name);
     return it->second;
 }
 
@@ -121,12 +122,12 @@ DatasetManager::stage(const std::string &name, Done done,
     // Staged means every cart docked at once; with fewer stations than
     // carts the later opens could never dispatch (the earlier carts
     // hold their stations until unstage), deadlocking the request.
-    fatal_if(e.carts.size() > controller_.numStations(),
-             "dataset '" + name + "' spans " +
-                 std::to_string(e.carts.size()) +
-                 " carts but the rack has only " +
-                 std::to_string(controller_.numStations()) +
-                 " docking stations; add stations or split the dataset");
+    if (e.carts.size() > controller_.numStations()) [[unlikely]]
+        fatal("dataset '" + name + "' spans " +
+              std::to_string(e.carts.size()) +
+              " carts but the rack has only " +
+              std::to_string(controller_.numStations()) +
+              " docking stations; add stations or split the dataset");
     auto pending = std::make_shared<std::size_t>(e.carts.size());
     for (CartId id : e.carts) {
         controller_.open(id, meta,
@@ -155,9 +156,9 @@ DatasetManager::readAll(const std::string &name, ReadDone done)
 {
     const Entry &e = entry(name);
     const DatasetInfo inf = info(name);
-    fatal_if(inf.placement != DatasetPlacement::Staged,
-             "dataset '" + name + "' is not fully staged (" +
-                 to_string(inf.placement) + ")");
+    if (inf.placement != DatasetPlacement::Staged) [[unlikely]]
+        fatal("dataset '" + name + "' is not fully staged (" +
+              to_string(inf.placement) + ")");
 
     auto pending = std::make_shared<std::size_t>(e.carts.size());
     auto total = std::make_shared<double>(0.0);

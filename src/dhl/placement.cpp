@@ -67,10 +67,10 @@ CartCache::access(const std::string &dataset, double bytes)
 
     const auto carts = static_cast<std::size_t>(
         std::ceil(bytes / dhl_.cartCapacity().value()));
-    fatal_if(carts > cfg_.cache_carts,
-             "dataset '" + dataset + "' needs " + std::to_string(carts) +
-                 " carts but the cache holds only " +
-                 std::to_string(cfg_.cache_carts));
+    if (carts > cfg_.cache_carts) [[unlikely]]
+        fatal("dataset '" + dataset + "' needs " + std::to_string(carts) +
+              " carts but the cache holds only " +
+              std::to_string(cfg_.cache_carts));
 
     ++accesses_;
     PlacementAccess out{};

@@ -188,10 +188,10 @@ FaultInjector::rollBreakdown(std::uint32_t cart)
                  "breakdown scale factor must be non-negative");
         p = std::min(p * factor, 1.0);
     }
-    const auto it = cart_rngs_
-                        .try_emplace(cart, Rng(deriveSeed(
-                                               cart_stream_base_, cart)))
-                        .first;
+    // Constructed in place on the cart's first roll only.
+    const auto it =
+        cart_rngs_.try_emplace(cart, deriveSeed(cart_stream_base_, cart))
+            .first;
     if (it->second.uniform() >= p)
         return false;
     state_.sendCartToRepair(cart,

@@ -47,10 +47,10 @@ EnergyProportionalModel::periodicDuty(qty::Bytes bytes, qty::Seconds period,
     const qty::Seconds transfer_time = bytes / model_.linkRate();
     const qty::Seconds busy =
         transfer_time + qty::Seconds{sleep_.wake_latency};
-    fatal_if(busy > period,
-             "duty does not fit its period: transfer + wake = " +
-                 std::to_string(busy.value()) + " s > " +
-                 std::to_string(period.value()) + " s");
+    if (busy > period) [[unlikely]]
+        fatal("duty does not fit its period: transfer + wake = " +
+              std::to_string(busy.value()) + " s > " +
+              std::to_string(period.value()) + " s");
     const qty::Seconds gap = period - busy;
     const bool sleeps = gap >= qty::Seconds{sleep_.min_sleep_gap};
     const qty::Watts power = model_.linkPower();

@@ -22,13 +22,18 @@ validate(const WearCouplingConfig &cfg)
 double
 cartWear(const core::Library &library, std::uint32_t cart)
 {
-    const auto &ssds = library.cart(cart).ssds();
-    if (ssds.empty())
+    // Every SSD of a cart shares the cart's mating count.  The mean is
+    // still summed once per SSD: n * w / n need not round back to w,
+    // and the wear-coupled tables depend on the summed value.
+    const core::Cart &c = library.cart(cart);
+    const std::size_t n = c.ssds().size();
+    if (n == 0)
         return 0.0;
+    const double wear = c.wearFraction();
     double total = 0.0;
-    for (const auto &ssd : ssds)
-        total += ssd.wearFraction();
-    return total / static_cast<double>(ssds.size());
+    for (std::size_t i = 0; i < n; ++i)
+        total += wear;
+    return total / static_cast<double>(n);
 }
 
 double

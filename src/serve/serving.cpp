@@ -257,8 +257,12 @@ ServingSim::run(std::size_t max_epochs)
 //===========================================================================
 
 bool
-ServingSim::anyTrackDown() const
+ServingSim::fleetDegraded() const
 {
+    // Only AvailabilityAware reads the verdict, so the other policies
+    // skip the O(tracks) fault-state scan on every arrival and pump.
+    if (cfg_.policy != ops::DispatchPolicy::AvailabilityAware)
+        return false;
     for (const TrackSystem &ts : tracks_)
         if (!ts.state->serviceUp())
             return true;
@@ -318,9 +322,9 @@ ServingSim::pickTrack(bool degraded) const
 }
 
 bool
-ServingSim::tryStart(const workloads::ArrivalEvent &ev)
+ServingSim::tryStart(const workloads::ArrivalEvent &ev, bool degraded)
 {
-    const std::size_t t = pickTrack(anyTrackDown());
+    const std::size_t t = pickTrack(degraded);
     if (t == kNoTrack)
         return false;
     if (cfg_.policy == ops::DispatchPolicy::RoundRobin)
@@ -350,8 +354,11 @@ ServingSim::admit(const workloads::ArrivalEvent &ev)
         return;
     }
 
-    if (queue_.empty() && admissible(ev, anyTrackDown()) && tryStart(ev))
-        return;
+    if (queue_.empty()) {
+        const bool down = fleetDegraded();
+        if (admissible(ev, down) && tryStart(ev, down))
+            return;
+    }
 
     if (queue_.size() >= cfg_.max_pending) {
         slo_[stage].shed();
@@ -387,9 +394,11 @@ ServingSim::admitTe(const workloads::ArrivalEvent &ev)
     // d.admit == false holds the request in the queue until a control
     // tick clears the contention (decide() only withholds admission
     // while a future tick is pending, so the hold always resolves).
-    if (d.admit && queue_.empty() && admissible(ev, anyTrackDown()) &&
-        tryStart(ev))
-        return;
+    if (d.admit && queue_.empty()) {
+        const bool down = fleetDegraded();
+        if (admissible(ev, down) && tryStart(ev, down))
+            return;
+    }
 
     if (queue_.size() >= cfg_.max_pending) {
         slo_[stage].shed();
@@ -457,10 +466,10 @@ ServingSim::pump()
     if (!pumping_)
         return;
     while (!queue_.empty()) {
-        const bool degraded = anyTrackDown();
+        const bool down = fleetDegraded();
         bool progressed = false;
         for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-            if (!admissible(it->ev, degraded))
+            if (!admissible(it->ev, down))
                 continue; // held below the degraded-mode floor
             if (te_) {
                 // A queued request's substrate is fixed at admission
@@ -473,7 +482,7 @@ ServingSim::pump()
                          .admit)
                     continue;
             }
-            if (!tryStart(it->ev))
+            if (!tryStart(it->ev, down))
                 return; // admissible work, no capacity: stop scanning
             queue_.erase(it);
             progressed = true;
@@ -862,9 +871,11 @@ ServingSim::sloTable() const
         row.served = s.served();
         row.deferred = s.deferred();
         row.shed = s.shed();
-        row.p50 = s.latencyPercentile(50.0);
-        row.p99 = s.latencyPercentile(99.0);
-        row.p999 = s.latencyPercentile(99.9);
+        const std::vector<double> q =
+            s.latencyPercentiles({50.0, 99.0, 99.9});
+        row.p50 = q[0];
+        row.p99 = q[1];
+        row.p999 = q[2];
         row.availability = stageAvailability(i);
         row.goodput = row.duration > 0.0
                           ? s.bytesDelivered() / row.duration
@@ -912,8 +923,10 @@ ServingSim::teTable() const
             row.served = acc.served();
             row.deferred = acc.deferred();
             row.shed = acc.shed();
-            row.p50 = acc.latencyPercentile(50.0);
-            row.p99 = acc.latencyPercentile(99.0);
+            const std::vector<double> q =
+                acc.latencyPercentiles({50.0, 99.0});
+            row.p50 = q[0];
+            row.p99 = q[1];
             row.goodput =
                 duration > 0.0 ? acc.bytesDelivered() / duration : 0.0;
             table.push_back(std::move(row));

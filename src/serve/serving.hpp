@@ -266,9 +266,11 @@ class ServingSim
     std::size_t tenantOf(const workloads::ArrivalEvent &ev) const;
     stats::SloAccumulator &classSlo(std::size_t tenant, te::Substrate s);
     void pump();
-    bool anyTrackDown() const;
+    /** AvailabilityAware with some track's service down (false under
+     *  every other policy, which never reads it). */
+    bool fleetDegraded() const;
     bool admissible(const workloads::ArrivalEvent &ev, bool degraded) const;
-    bool tryStart(const workloads::ArrivalEvent &ev);
+    bool tryStart(const workloads::ArrivalEvent &ev, bool degraded);
     std::size_t pickTrack(bool degraded) const;
     void runTrip(const std::shared_ptr<Active> &a);
     void finishRequest(const Active &a);

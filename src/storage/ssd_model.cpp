@@ -36,13 +36,10 @@ to_string(SsdState state)
     panic("unreachable SSD state");
 }
 
-SsdModel::SsdModel(const DeviceSpec &spec, ConnectorKind connector,
-                   double failure_per_trip)
+SsdModel::SsdModel(const DeviceSpec &spec, double failure_per_trip)
     : spec_(spec),
-      connector_(connector),
       failure_per_trip_(failure_per_trip),
       stored_(0.0),
-      cycles_(0),
       state_(SsdState::Healthy)
 {
     fatal_if(!(spec.capacity > 0.0), "SSD capacity must be positive");
@@ -55,8 +52,8 @@ SsdModel::readTime(double bytes) const
 {
     fatal_if(bytes < 0.0, "read size must be non-negative");
     fatal_if(!healthy(), "cannot read a non-healthy SSD");
-    fatal_if(bytes > stored_ + 1e-6,
-             "read beyond stored bytes on SSD '" + spec_.name + "'");
+    if (bytes > stored_ + 1e-6) [[unlikely]]
+        fatal("read beyond stored bytes on SSD '" + spec_.name + "'");
     return bytes / spec_.seq_read_bw;
 }
 
@@ -65,8 +62,8 @@ SsdModel::write(double bytes)
 {
     fatal_if(bytes < 0.0, "write size must be non-negative");
     fatal_if(!healthy(), "cannot write a non-healthy SSD");
-    fatal_if(stored_ + bytes > spec_.capacity * (1.0 + 1e-9),
-             "write overflows SSD '" + spec_.name + "'");
+    if (stored_ + bytes > spec_.capacity * (1.0 + 1e-9)) [[unlikely]]
+        fatal("write overflows SSD '" + spec_.name + "'");
     stored_ += bytes;
     if (stored_ > spec_.capacity)
         stored_ = spec_.capacity;
@@ -81,14 +78,6 @@ SsdModel::trim(double bytes)
     stored_ -= bytes;
     if (stored_ < 0.0)
         stored_ = 0.0;
-}
-
-void
-SsdModel::matingCycle()
-{
-    ++cycles_;
-    if (state_ == SsdState::Healthy && cycles_ > ratedCycles(connector_))
-        state_ = SsdState::ConnectorWorn;
 }
 
 bool
@@ -109,7 +98,6 @@ SsdModel::repair()
     // Replacement device with contents restored from RAID/backup, so
     // stored bytes survive the repair.
     state_ = SsdState::Healthy;
-    cycles_ = 0;
 }
 
 } // namespace storage

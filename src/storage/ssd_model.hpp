@@ -3,11 +3,13 @@
  * Behavioural SSD model for the event-driven simulations.
  *
  * Tracks stored bytes, serves timed read/write operations at the device's
- * sequential bandwidth, counts connector mating cycles against the
+ * sequential bandwidth, and supports per-trip failure injection so the
+ * RAID/backup recovery path in the controller can be exercised.  The
  * connector's rated life (Discussion: USB-C 10k-20k cycles vs M.2's
  * hundreds — the reason the paper recommends USB-C carrying PCIe for the
- * docking interface), and supports per-trip failure injection so the
- * RAID/backup recovery path in the controller can be exercised.
+ * docking interface) is defined here; the mating-cycle count lives in
+ * core::Cart, because every dock and undock mates all of a cart's SSDs
+ * at once and repair is cart-wide.
  */
 
 #ifndef DHL_STORAGE_SSD_MODEL_HPP
@@ -48,13 +50,10 @@ class SsdModel
   public:
     /**
      * @param spec               Device specification.
-     * @param connector          Docking connector technology.
      * @param failure_per_trip   Probability the device fails during one
      *                           shuttle trip (0 disables injection).
      */
-    SsdModel(const DeviceSpec &spec,
-             ConnectorKind connector = ConnectorKind::UsbC,
-             double failure_per_trip = 0.0);
+    explicit SsdModel(const DeviceSpec &spec, double failure_per_trip = 0.0);
 
     const DeviceSpec &spec() const { return spec_; }
     SsdState state() const { return state_; }
@@ -85,26 +84,14 @@ class SsdModel
     void eraseAll() { stored_ = 0.0; }
 
     /**
-     * Record one connector mating cycle (a dock or an undock).  Marks
-     * the device ConnectorWorn once the rated cycle count is exceeded.
+     * The connector exceeded its rated mating cycles: a healthy device
+     * becomes ConnectorWorn; a failed one stays Failed.
      */
-    void matingCycle();
-
-    std::uint64_t matingCycles() const { return cycles_; }
-    ConnectorKind connector() const { return connector_; }
-
-    /**
-     * Accumulated connector wear as a fraction of the rated mating
-     * cycles (1.0 = at rated life; can exceed 1.0 once worn).  The ops
-     * layer's wear coupling scales cart breakdown probability and
-     * station MTBF with this — the state-dependent-failure hook that
-     * replaces the memoryless assumption.
-     */
-    double
-    wearFraction() const
+    void
+    wearOutConnector()
     {
-        return static_cast<double>(cycles_) /
-               static_cast<double>(ratedCycles(connector_));
+        if (state_ == SsdState::Healthy)
+            state_ = SsdState::ConnectorWorn;
     }
 
     /**
@@ -118,10 +105,8 @@ class SsdModel
 
   private:
     DeviceSpec spec_;
-    ConnectorKind connector_;
     double failure_per_trip_;
     double stored_;
-    std::uint64_t cycles_;
     SsdState state_;
 };
 

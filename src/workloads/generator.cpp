@@ -28,18 +28,19 @@ validateRequests(const std::vector<TransferRequest> &requests,
                  const char *what)
 {
     const std::string who(what);
-    fatal_if(requests.empty(), who + ": empty request list");
+    if (requests.empty()) [[unlikely]]
+        fatal(who + ": empty request list");
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const auto &r = requests[i];
-        const std::string at_req = ": request " + std::to_string(i);
+        const auto at_req = [i] { return ": request " + std::to_string(i); };
         if (!std::isfinite(r.at) || r.at < 0.0)
-            fatal(who + at_req + " has invalid arrival time " +
+            fatal(who + at_req() + " has invalid arrival time " +
                   std::to_string(r.at));
         if (!std::isfinite(r.bytes) || r.bytes <= 0.0)
-            fatal(who + at_req + " has invalid size " +
+            fatal(who + at_req() + " has invalid size " +
                   std::to_string(r.bytes));
         if (i > 0 && r.at < requests[i - 1].at)
-            fatal(who + at_req + " arrives at " + std::to_string(r.at) +
+            fatal(who + at_req() + " arrives at " + std::to_string(r.at) +
                   ", before request " + std::to_string(i - 1) + " at " +
                   std::to_string(requests[i - 1].at) +
                   " (timestamps must be sorted)");

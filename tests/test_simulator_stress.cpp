@@ -251,6 +251,127 @@ TEST(SimulatorStress, DifferentialVsReferenceQueue)
     EXPECT_EQ(fired_sim.size(), scheduled - cancelled);
 }
 
+/**
+ * The kernel and the reference queue driven in lockstep, for the
+ * heap-shape cases below.
+ */
+class Lockstep
+{
+  public:
+    EventHandle
+    schedule(double delay)
+    {
+        const int token = next_token_++;
+        const EventHandle h = sim.schedule(delay, [this, token] {
+            fired_sim.push_back(Fired{sim.now(), token});
+        });
+        seqs_.push_back(ref_.schedule(sim.now(), delay, token));
+        return h;
+    }
+
+    /** Cancel the event with @p token in both models. */
+    bool
+    cancel(EventHandle h, int token)
+    {
+        const bool ok = sim.cancel(h);
+        EXPECT_EQ(ok, ref_.cancel(seqs_[static_cast<std::size_t>(token)]));
+        return ok;
+    }
+
+    /** Fire up to @p n events in both models. */
+    void
+    step(std::uint64_t n)
+    {
+        const std::uint64_t fired = sim.step(n);
+        for (std::uint64_t k = 0; k < fired; ++k) {
+            ReferenceQueue::Event e;
+            ASSERT_TRUE(
+                ref_.popUpTo(std::numeric_limits<double>::infinity(), e));
+            fired_ref.push_back(Fired{e.when, e.token});
+        }
+        EXPECT_EQ(sim.pendingEvents(), ref_.pending());
+    }
+
+    void
+    drainAndCompare()
+    {
+        sim.run();
+        ReferenceQueue::Event e;
+        while (ref_.popUpTo(std::numeric_limits<double>::infinity(), e))
+            fired_ref.push_back(Fired{e.when, e.token});
+        ASSERT_EQ(fired_sim.size(), fired_ref.size());
+        for (std::size_t i = 0; i < fired_sim.size(); ++i)
+            ASSERT_EQ(fired_sim[i], fired_ref[i]) << "index " << i;
+        EXPECT_EQ(sim.pendingEvents(), 0u);
+    }
+
+    Simulator sim;
+    std::vector<Fired> fired_sim;
+    std::vector<Fired> fired_ref;
+
+  private:
+    ReferenceQueue ref_;
+    std::vector<std::uint64_t> seqs_;
+    int next_token_ = 0;
+};
+
+TEST(SimulatorStress, HeapSizesAcrossLevelBoundaries)
+{
+    // Sizes at which a binary heap (3, 7, 63 full) or a 4-ary one (4,
+    // 20, 84 full) fills a level and opens the next; pop and push
+    // across each boundary.
+    for (const int n : {1, 3, 4, 5, 7, 8, 20, 21, 63, 64, 84, 85, 86}) {
+        Rng rng(1000 + static_cast<std::uint64_t>(n));
+        Lockstep ls;
+        for (int i = 0; i < n; ++i)
+            ls.schedule(static_cast<double>(rng.uniformInt(0, 12)) * 0.5);
+        ls.step(1);
+        ls.schedule(0.0);
+        ls.schedule(100.0);
+        ls.step(static_cast<std::uint64_t>(n / 2));
+        for (int i = 0; i < n; ++i)
+            ls.schedule(static_cast<double>(rng.uniformInt(0, 12)) * 0.5);
+        ls.drainAndCompare();
+        EXPECT_EQ(ls.fired_sim.size(), static_cast<std::size_t>(2 * n + 2))
+            << "n " << n;
+    }
+}
+
+TEST(SimulatorStress, HundredsOfEventsTiedAtOneTimestamp)
+{
+    Lockstep ls;
+    ls.schedule(2.0);
+    for (int i = 0; i < 600; ++i) {
+        ls.schedule(1.0);
+        if (i % 50 == 0)
+            ls.schedule(0.5 * static_cast<double>(i % 3)); // interleave
+    }
+    ls.step(7);
+    for (int i = 0; i < 300; ++i)
+        ls.schedule(0.0); // ties at the current time join the FIFO tail
+    ls.drainAndCompare();
+}
+
+TEST(SimulatorStress, CancelledEntriesSurfaceAtTheTop)
+{
+    Lockstep ls;
+    std::vector<EventHandle> early;
+    for (int i = 0; i < 40; ++i)
+        early.push_back(ls.schedule(0.25 * static_cast<double>(i % 5)));
+    for (int i = 0; i < 40; ++i)
+        ls.schedule(5.0 + 0.25 * static_cast<double>(i % 7));
+    // Cancel every early event: the heap top is a run of dead entries.
+    for (int i = 0; i < 40; ++i)
+        EXPECT_TRUE(ls.cancel(early[static_cast<std::size_t>(i)], i));
+    ls.step(3);
+    // Cancel whatever is next to fire, then keep going.
+    const EventHandle next = ls.schedule(0.0);
+    EXPECT_TRUE(ls.cancel(next, 80));
+    ls.step(1);
+    ls.drainAndCompare();
+    EXPECT_EQ(ls.fired_sim.size(), 40u);
+}
+
 TEST(SimulatorStress, SteadyStateScheduleFirePathDoesNotAllocate)
 {
     Simulator sim;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the behavioural SSD model (bandwidth, wear, failure
- * injection).
+ * Unit tests for the behavioural SSD model (bandwidth, failure
+ * injection, connector wear-out).  The mating-cycle count that triggers
+ * wear-out is per cart; its tests live in test_cart.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +18,9 @@ namespace u = dhl::units;
 namespace {
 
 SsdModel
-freshSsd(double failure_per_trip = 0.0,
-         ConnectorKind connector = ConnectorKind::UsbC)
+freshSsd(double failure_per_trip = 0.0)
 {
-    return SsdModel(referenceM2Ssd(), connector, failure_per_trip);
+    return SsdModel(referenceM2Ssd(), failure_per_trip);
 }
 
 } // namespace
@@ -73,34 +73,25 @@ TEST(SsdModelTest, RatedCyclesMatchDiscussion)
     EXPECT_EQ(ratedCycles(ConnectorKind::M2), 250u);
 }
 
-TEST(SsdModelTest, M2ConnectorWearsOutQuickly)
-{
-    auto ssd = freshSsd(0.0, ConnectorKind::M2);
-    for (int i = 0; i < 250; ++i)
-        ssd.matingCycle();
-    EXPECT_TRUE(ssd.healthy());
-    ssd.matingCycle(); // 251st crosses the rating
-    EXPECT_EQ(ssd.state(), SsdState::ConnectorWorn);
-    EXPECT_FALSE(ssd.healthy());
-}
-
-TEST(SsdModelTest, UsbCSurvivesManyMoreCycles)
-{
-    auto ssd = freshSsd();
-    for (int i = 0; i < 5000; ++i)
-        ssd.matingCycle();
-    EXPECT_TRUE(ssd.healthy());
-    EXPECT_EQ(ssd.matingCycles(), 5000u);
-}
-
 TEST(SsdModelTest, UnhealthyDeviceRefusesIo)
 {
-    auto ssd = freshSsd(0.0, ConnectorKind::M2);
+    auto ssd = freshSsd();
     ssd.write(u::gigabytes(1));
-    for (int i = 0; i < 251; ++i)
-        ssd.matingCycle();
+    ssd.wearOutConnector();
+    EXPECT_EQ(ssd.state(), SsdState::ConnectorWorn);
     EXPECT_THROW(ssd.write(u::gigabytes(1)), dhl::FatalError);
     EXPECT_THROW(ssd.readTime(u::gigabytes(1)), dhl::FatalError);
+}
+
+TEST(SsdModelTest, WearOutLeavesFailedDeviceFailed)
+{
+    dhl::Rng rng(7);
+    auto ssd = freshSsd(1.0);
+    EXPECT_TRUE(ssd.rollTripFailure(rng));
+    ssd.wearOutConnector();
+    EXPECT_EQ(ssd.state(), SsdState::Failed);
+    ssd.repair();
+    EXPECT_TRUE(ssd.healthy());
 }
 
 TEST(SsdModelTest, FailureInjectionRoughlyCalibrated)
@@ -135,7 +126,6 @@ TEST(SsdModelTest, RepairRestoresHealthAndKeepsData)
     EXPECT_TRUE(ssd.healthy());
     // RAID/backup restoration: contents survive the repair.
     EXPECT_DOUBLE_EQ(ssd.storedBytes(), u::terabytes(2));
-    EXPECT_EQ(ssd.matingCycles(), 0u);
 }
 
 TEST(SsdModelTest, FailedDeviceStopsRolling)

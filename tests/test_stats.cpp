@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -186,6 +188,39 @@ TEST(PercentileTest, DuplicateValuesFormPlateaus)
     EXPECT_DOUBLE_EQ(percentile(v, 87.5), 2.5);  // rank 3.5
     // An all-equal sample is one big plateau.
     EXPECT_DOUBLE_EQ(percentile({4.0, 4.0, 4.0}, 33.3), 4.0);
+}
+
+TEST(PercentileTest, OneSortMatchesPerRankCallsBitForBit)
+{
+    dhl::Rng rng(5);
+    for (const std::size_t n : {1u, 2u, 3u, 10u, 997u}) {
+        std::vector<double> v;
+        for (std::size_t i = 0; i < n; ++i)
+            v.push_back(i % 7 == 0 ? 3.0 : rng.exponential(2.0));
+        const std::vector<double> q =
+            percentiles(v, {0.0, 12.5, 50.0, 99.0, 99.9, 100.0});
+        const double ps[] = {0.0, 12.5, 50.0, 99.0, 99.9, 100.0};
+        ASSERT_EQ(q.size(), 6u);
+        for (std::size_t i = 0; i < 6; ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(q[i]),
+                      std::bit_cast<std::uint64_t>(percentile(v, ps[i])))
+                << "n " << n << " p " << ps[i];
+        }
+    }
+    EXPECT_THROW(percentiles({}, {50.0}), dhl::FatalError);
+    EXPECT_THROW(percentiles({1.0}, {50.0, 100.5}), dhl::FatalError);
+    EXPECT_TRUE(percentiles({1.0}, {}).empty());
+}
+
+TEST(SloAccumulatorTest, LatencyPercentilesZeroWhenNothingCompleted)
+{
+    SloAccumulator acc;
+    EXPECT_EQ(acc.latencyPercentiles({50.0, 99.0}),
+              (std::vector<double>{0.0, 0.0}));
+    acc.complete(2.0, 1.0);
+    acc.complete(4.0, 1.0);
+    EXPECT_EQ(acc.latencyPercentiles({0.0, 50.0, 100.0}),
+              (std::vector<double>{2.0, 3.0, 4.0}));
 }
 
 TEST(QuantileSketchTest, ExactWhileSmallThenSwitchesToBins)

@@ -200,9 +200,9 @@ parseMaintenancePlan(const std::string &spec)
                       window + "'");
             }
         }
-        fatal_if(fields.size() < 2 || fields.size() > 4,
-                 "--maintenance windows are start:duration[:period"
-                 "[:track]], got '" + window + "'");
+        if (fields.size() < 2 || fields.size() > 4) [[unlikely]]
+            fatal("--maintenance windows are start:duration[:period"
+                  "[:track]], got '" + window + "'");
         ops::MaintenanceWindow w;
         w.start = fields[0];
         w.duration = fields[1];
@@ -546,8 +546,9 @@ cmdServe(int argc, const char *const *argv)
 
     if (args.provided("resume")) {
         std::ifstream in(args.get("resume"));
-        fatal_if(!in, "cannot open --resume checkpoint '" +
-                          args.get("resume") + "'");
+        if (!in) [[unlikely]]
+            fatal("cannot open --resume checkpoint '" + args.get("resume") +
+                  "'");
         sim.restore(in);
         std::cerr << "resumed at epoch " << sim.epochsCompleted()
                   << ", t = " << u::formatDuration(sim.now()) << "\n";
@@ -555,7 +556,8 @@ cmdServe(int argc, const char *const *argv)
 
     auto writeCheckpoint = [&](const std::string &path) {
         std::ofstream out(path, std::ios::trunc);
-        fatal_if(!out, "cannot write --checkpoint '" + path + "'");
+        if (!out) [[unlikely]]
+            fatal("cannot write --checkpoint '" + path + "'");
         sim.checkpoint(out);
     };
 
