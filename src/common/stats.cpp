@@ -205,7 +205,6 @@ jainFairnessIndex(const std::vector<double> &values,
 void
 SloAccumulator::complete(double latency, double bytes)
 {
-    ++served_;
     bytes_ += bytes;
     latencies_.push_back(latency);
 }
@@ -216,19 +215,6 @@ SloAccumulator::latencyPercentiles(std::initializer_list<double> ps) const
     if (latencies_.empty())
         return std::vector<double>(ps.size(), 0.0);
     return percentiles(latencies_, ps);
-}
-
-void
-SloAccumulator::restore(std::uint64_t offered, std::uint64_t deferred,
-                        std::uint64_t shed, double bytes,
-                        std::vector<double> latencies)
-{
-    offered_ = offered;
-    deferred_ = deferred;
-    shed_ = shed;
-    bytes_ = bytes;
-    latencies_ = std::move(latencies);
-    served_ = latencies_.size();
 }
 
 //===========================================================================

@@ -302,8 +302,8 @@ double jainFairnessIndex(const std::vector<double> &values,
  * harnesses cannot see that delay at all).
  *
  * Plain accounting object, not a StatBase: the serve layer owns one
- * per stage and snapshots/restores them through its own checkpoint
- * path (common/ cannot depend on sim/snapshot).
+ * per stage and checkpoints it through visit() (a template, so common/
+ * needs no sim/snapshot dependency).
  */
 class SloAccumulator
 {
@@ -321,7 +321,7 @@ class SloAccumulator
     void complete(double latency, double bytes);
 
     std::uint64_t offered() const { return offered_; }
-    std::uint64_t served() const { return served_; }
+    std::uint64_t served() const { return latencies_.size(); }
     std::uint64_t deferred() const { return deferred_; }
     std::uint64_t shed() const { return shed_; }
     double bytesDelivered() const { return bytes_; }
@@ -334,14 +334,21 @@ class SloAccumulator
     /** The raw completion-latency samples, in completion order. */
     const std::vector<double> &latencies() const { return latencies_; }
 
-    /** Rebuild from checkpointed state (serve-layer restore path). */
-    void restore(std::uint64_t offered, std::uint64_t deferred,
-                 std::uint64_t shed, double bytes,
-                 std::vector<double> latencies);
+    /** Checkpoint fields (sim/snapshot.hpp); served() is the number of
+     *  latency samples. */
+    template <class Self, class Ar>
+    static void
+    visit(Self &self, Ar &ar)
+    {
+        ar.io("offered", self.offered_);
+        ar.io("deferred", self.deferred_);
+        ar.io("shed", self.shed_);
+        ar.io("bytes", self.bytes_);
+        ar.io("latencies", self.latencies_);
+    }
 
   private:
     std::uint64_t offered_ = 0;
-    std::uint64_t served_ = 0;
     std::uint64_t deferred_ = 0;
     std::uint64_t shed_ = 0;
     double bytes_ = 0.0;

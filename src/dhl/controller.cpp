@@ -9,6 +9,7 @@
 
 #include "common/logging.hpp"
 #include "common/units.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace core {
@@ -400,36 +401,23 @@ DhlController::handleArrivalFailures(Cart &cart)
     }
 }
 
+template <class Self, class Ar>
 void
-DhlController::saveState(sim::SnapshotWriter &w) const
+DhlController::visit(Self &self, Ar &ar)
 {
-    fatal_if(scheduler_->size() != 0 || !cart_station_.empty(),
-             "controller checkpoint requires a drained boundary (no "
-             "queued or docked work)");
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "controller");
-    w.putRng("rng", rng_);
-    w.putU64("next_seq", next_seq_);
-    w.putU64("ssd_failures", ssd_failures_);
-    w.putU64("parked_launches", parked_launches_);
-    w.putU64("held_opens", held_opens_);
-    w.putU64("cart_breakdowns", cart_breakdowns_);
-    track_->saveState(w);
+    fatal_if(self.scheduler_->size() != 0 || !self.cart_station_.empty(),
+             "controller checkpoint/restore requires a drained boundary "
+             "(no queued or docked work)");
+    ar.io("rng", self.rng_);
+    ar.io("next_seq", self.next_seq_);
+    ar.io("ssd_failures", self.ssd_failures_);
+    ar.io("parked_launches", self.parked_launches_);
+    ar.io("held_opens", self.held_opens_);
+    ar.io("cart_breakdowns", self.cart_breakdowns_);
+    ar.io("track", *self.track_);
 }
 
-void
-DhlController::restoreState(sim::SnapshotReader &r)
-{
-    fatal_if(scheduler_->size() != 0 || !cart_station_.empty(),
-             "controller restore requires a freshly constructed system");
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "controller");
-    r.getRng("rng", rng_);
-    next_seq_ = r.getU64("next_seq");
-    ssd_failures_ = r.getU64("ssd_failures");
-    parked_launches_ = r.getU64("parked_launches");
-    held_opens_ = r.getU64("held_opens");
-    cart_breakdowns_ = r.getU64("cart_breakdowns");
-    track_->restoreState(r);
-}
+DHL_SNAPSHOT_VISIT(DhlController);
 
 } // namespace core
 } // namespace dhl

@@ -177,8 +177,8 @@ class DhlController : public sim::SimObject
      * sequence counter, the degraded-mode tallies, and the track's
      * admission/energy state.
      */
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     DockingStation *findFreeStation();

@@ -57,7 +57,7 @@ struct BulkRunResult
 };
 
 /** A complete simulated DHL system. */
-class DhlSimulation : public sim::Snapshotable
+class DhlSimulation
 {
   public:
     explicit DhlSimulation(const DhlConfig &cfg, std::uint64_t seed = 1);
@@ -101,21 +101,7 @@ class DhlSimulation : public sim::Snapshotable
     /** Dump all statistics of every simulated object. */
     void dumpStats(std::ostream &os);
 
-    /**
-     * Checkpoint/restore of the whole system at a drained boundary
-     * (sim/snapshot.hpp): kernel clock, trace, controller + track, and
-     * — when fault injection is enabled — the registry and injector
-     * timeline.  restoreState() must be called on a freshly constructed
-     * DhlSimulation with the identical config, seed, and (if any)
-     * enableFaults() call; it cancels the injector's constructor
-     * schedule before rewinding the kernel clock.
-     */
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
-
   private:
-    // dhl-analyze: transient(cfg_): the constructor input; a restored
-    // simulation is rebuilt from the same config before restore
     DhlConfig cfg_;
     sim::Simulator sim_;
     sim::TraceRecorder trace_;

@@ -10,6 +10,7 @@
 #include "common/logging.hpp"
 #include "physics/lim.hpp"
 #include "physics/profile.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace core {
@@ -20,7 +21,7 @@ Track::Track(sim::Simulator &sim, const DhlConfig &cfg, std::string name)
       drain_time_(0.0),
       last_depart_{-1e300, -1e300},
       has_last_direction_(false),
-      last_direction_(Direction::Outbound),
+      last_inbound_(false),
       total_energy_(0.0),
       launches_(0),
       launches_dir_{0, 0}
@@ -44,7 +45,8 @@ Track::Track(sim::Simulator &sim, const DhlConfig &cfg, std::string name)
         &sg.addCounter("launches_outbound", "library->rack launches");
     stat_launches_[1] =
         &sg.addCounter("launches_inbound", "rack->library launches");
-    stat_energy_ = &sg.addScalar("lim_energy", "total LIM energy, J");
+    sg.addFormula("lim_energy", "total LIM energy, J",
+                  [this] { return total_energy_; });
     stat_wait_ =
         &sg.addAccumulator("launch_wait", "admission wait per launch, s");
 }
@@ -68,7 +70,8 @@ Track::reserveLaunch(Direction dir)
         // Same direction: headway behind the previous cart.  Direction
         // change: wait for the tube to drain completely.
         const auto d = static_cast<int>(dir);
-        if (has_last_direction_ && last_direction_ != dir)
+        if (has_last_direction_ &&
+            last_inbound_ != (dir == Direction::Inbound))
             depart = std::max(depart, drain_time_);
         depart = std::max(depart, last_depart_[d] + cfg_.headway);
         break;
@@ -91,13 +94,12 @@ Track::reserveLaunch(Direction dir)
     last_depart_[d] = depart;
     drain_time_ = std::max(drain_time_, g.arrive_time);
     has_last_direction_ = true;
-    last_direction_ = dir;
+    last_inbound_ = dir == Direction::Inbound;
 
     total_energy_ += shot_energy_;
     ++launches_;
     ++launches_dir_[d];
     stat_launches_[d]->increment();
-    stat_energy_->add(shot_energy_);
     stat_wait_->sample(depart - t);
     return g;
 }
@@ -108,37 +110,22 @@ Track::launches(Direction dir) const
     return launches_dir_[static_cast<int>(dir)];
 }
 
+template <class Self, class Ar>
 void
-Track::saveState(sim::SnapshotWriter &w) const
+Track::visit(Self &self, Ar &ar)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "track");
-    w.putDouble("drain_time", drain_time_);
-    w.putDouble("last_depart_out", last_depart_[0]);
-    w.putDouble("last_depart_in", last_depart_[1]);
-    w.putBool("has_last_direction", has_last_direction_);
-    w.putBool("last_inbound", last_direction_ == Direction::Inbound);
-    w.putDouble("total_energy", total_energy_);
-    w.putU64("launches", launches_);
-    w.putU64("launches_out", launches_dir_[0]);
-    w.putU64("launches_in", launches_dir_[1]);
+    ar.io("drain_time", self.drain_time_);
+    ar.io("last_depart_out", self.last_depart_[0]);
+    ar.io("last_depart_in", self.last_depart_[1]);
+    ar.io("has_last_direction", self.has_last_direction_);
+    ar.io("last_inbound", self.last_inbound_);
+    ar.io("total_energy", self.total_energy_);
+    ar.io("launches", self.launches_);
+    ar.io("launches_out", self.launches_dir_[0]);
+    ar.io("launches_in", self.launches_dir_[1]);
 }
 
-void
-Track::restoreState(sim::SnapshotReader &r)
-{
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "track");
-    drain_time_ = r.getDouble("drain_time");
-    last_depart_[0] = r.getDouble("last_depart_out");
-    last_depart_[1] = r.getDouble("last_depart_in");
-    has_last_direction_ = r.getBool("has_last_direction");
-    last_direction_ = r.getBool("last_inbound") ? Direction::Inbound
-                                                : Direction::Outbound;
-    total_energy_ = r.getDouble("total_energy");
-    launches_ = r.getU64("launches");
-    launches_dir_[0] = r.getU64("launches_out");
-    launches_dir_[1] = r.getU64("launches_in");
-    stat_energy_->set(total_energy_);
-}
+DHL_SNAPSHOT_VISIT(Track);
 
 } // namespace core
 } // namespace dhl

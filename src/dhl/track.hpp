@@ -97,11 +97,12 @@ class Track : public sim::SimObject
      * all bit-exact — restoring the accumulators to their checkpointed
      * values (rather than replaying deltas) is what keeps total energy
      * byte-identical across a restore, since (x + e) - x != e in
-     * floating point.  The stats-group counters are host-side tallies
-     * and restart from the boundary.
+     * floating point.  The lim_energy stat reads total_energy_; the
+     * launch counters and wait accumulator are host-side tallies and
+     * restart from the boundary.
      */
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     // dhl-analyze: transient(cfg_, faults_): constructor wiring — a
@@ -116,16 +117,15 @@ class Track : public sim::SimObject
     double drain_time_;            ///< When the tube is empty.
     double last_depart_[2];        ///< Per-direction last departure.
     bool has_last_direction_;
-    Direction last_direction_;
+    bool last_inbound_;            ///< Direction of the last launch.
 
     double total_energy_;
     std::uint64_t launches_;
     std::uint64_t launches_dir_[2];
 
-    // dhl-analyze: transient(stat_launches_, stat_energy_, stat_wait_):
-    // host-side stats tallies, restart from the boundary
+    // dhl-analyze: transient(stat_launches_, stat_wait_): host-side
+    // stats tallies, restart from the boundary
     stats::Counter *stat_launches_[2];
-    stats::Scalar *stat_energy_;
     stats::Accumulator *stat_wait_;
 };
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace faults {
@@ -210,85 +211,41 @@ FaultInjector::stop()
     }
 }
 
+template <class Self, class Ar>
 void
-FaultInjector::saveState(sim::SnapshotWriter &w) const
+FaultInjector::visit(Self &self, Ar &ar)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "injector");
-    w.putU64("units", units_.size());
-    for (std::size_t i = 0; i < units_.size(); ++i) {
-        const Unit &u = units_[i];
-        std::string key("u");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> us(w, key);
-        w.putRng("rng", u.rng);
-        w.putBool("pending", u.has_pending);
-        if (u.has_pending) {
-            w.putDouble("when", u.pending_when);
-            w.putBool("is_repair", u.pending_is_repair);
-        }
-    }
-
-    std::vector<std::uint32_t> cart_ids;
-    cart_ids.reserve(cart_rngs_.size());
-    for (const auto &[id, rng] : cart_rngs_)
-        cart_ids.push_back(id);
-    std::sort(cart_ids.begin(), cart_ids.end());
-    w.putU64("carts", cart_ids.size());
-    for (std::size_t i = 0; i < cart_ids.size(); ++i) {
-        std::string key("cart");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> cs(w, key);
-        w.putU64("id", cart_ids[i]);
-        w.putRng("rng", cart_rngs_.at(cart_ids[i]));
-    }
-    w.putU64("injected", injected_);
-}
-
-void
-FaultInjector::restoreState(sim::SnapshotReader &r)
-{
-    // Drop the constructor-scheduled first failures; the checkpoint
-    // says what is actually pending.
-    stop();
-
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "injector");
-    fatal_if(r.getU64("units") != units_.size(),
-             "injector restore: unit count does not match the "
-             "checkpoint");
-    for (std::size_t i = 0; i < units_.size(); ++i) {
-        Unit &u = units_[i];
-        std::string key("u");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> us(r, key);
-        r.getRng("rng", u.rng);
-        u.has_pending = r.getBool("pending");
+    if constexpr (Ar::loading)
+        for (const Unit &u : self.units_)
+            fatal_if(u.has_pending,
+                     "injector restore requires stop() first");
+    ar.count("units", self.units_.size());
+    ar.each("u", sim::indices(self.units_.size()), [&](std::size_t i) {
+        auto &u = self.units_[i];
+        ar.io("rng", u.rng);
+        ar.io("pending", u.has_pending);
         if (!u.has_pending)
-            continue;
-        u.pending_when = r.getDouble("when");
-        u.pending_is_repair = r.getBool("is_repair");
-        const std::size_t unit = i;
-        u.pending = u.pending_is_repair
-                        ? simulator().scheduleAt(
-                              u.pending_when,
-                              [this, unit] { repairUnit(unit); })
-                        : simulator().scheduleAt(
-                              u.pending_when,
-                              [this, unit] { failUnit(unit); });
-    }
-
-    cart_rngs_.clear();
-    const std::uint64_t n_carts = r.getU64("carts");
-    for (std::uint64_t i = 0; i < n_carts; ++i) {
-        std::string key("cart");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> cs(r, key);
-        const auto id = static_cast<std::uint32_t>(r.getU64("id"));
-        Rng rng; // placeholder stream; overwritten wholesale by getRng
-        r.getRng("rng", rng);
-        cart_rngs_.emplace(id, rng);
-    }
-    injected_ = r.getU64("injected");
+            return;
+        ar.io("when", u.pending_when);
+        ar.io("is_repair", u.pending_is_repair);
+        if constexpr (Ar::loading)
+            u.pending = u.pending_is_repair
+                            ? self.simulator().scheduleAt(
+                                  u.pending_when,
+                                  [&self, i] { self.repairUnit(i); })
+                            : self.simulator().scheduleAt(
+                                  u.pending_when,
+                                  [&self, i] { self.failUnit(i); });
+    });
+    // Per-cart breakdown streams in cart-id order.
+    ar.seq("carts", "cart", self.cart_rngs_, [&ar](auto &entry) {
+        ar.io("id", entry.first);
+        ar.io("rng", entry.second);
+    });
+    ar.io("injected", self.injected_);
 }
+
+DHL_SNAPSHOT_VISIT(FaultInjector);
 
 } // namespace faults
 } // namespace dhl

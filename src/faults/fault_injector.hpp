@@ -29,8 +29,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.hpp"
@@ -135,14 +135,15 @@ class FaultInjector : public sim::SimObject
     // Checkpoint/restore.  Each unit's pending event is tracked as
     // (absolute time, fail-or-repair), so a checkpoint captures the
     // exact fault timeline position: RNG stream per unit and per cart,
-    // plus which transition fires next and when.  restoreState()
-    // cancels the constructor-scheduled failures, restores every
-    // stream, and re-schedules the saved transitions at their absolute
-    // times — byte-identical continuation of the timeline.
+    // plus which transition fires next and when.  Restoring requires
+    // stop() first (the constructor-scheduled failures must go),
+    // restores every stream, and re-schedules the saved transitions at
+    // their absolute times — byte-identical continuation of the
+    // timeline.
     //------------------------------------------------------------------
 
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     struct Unit
@@ -178,7 +179,7 @@ class FaultInjector : public sim::SimObject
     // dhl-analyze: transient(cart_stream_base_): derived from cfg_.seed
     // by the constructor, never mutated afterwards
     std::uint64_t cart_stream_base_;
-    std::unordered_map<std::uint32_t, Rng> cart_rngs_;
+    std::map<std::uint32_t, Rng> cart_rngs_;
     std::uint64_t injected_ = 0;
 
     // dhl-analyze: transient(stat_failures_, stat_repairs_,

@@ -9,6 +9,7 @@
 
 #include "common/logging.hpp"
 #include "common/units.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace faults {
@@ -114,7 +115,6 @@ FaultState::fail(Component kind, std::uint32_t index)
     fatal_if(index >= ks.down.size(), "failing an unregistered component");
     panic_if(ks.down[index], "component failed while already down");
     ks.down[index] = true;
-    ++ks.down_count;
     ++ks.failures;
     trace(kind, index,
           serviceUp() ? "failed" : "failed (service down)");
@@ -150,7 +150,6 @@ FaultState::repair(Component kind, std::uint32_t index)
              "repairing an unregistered component");
     panic_if(!ks.down[index], "component repaired while already up");
     ks.down[index] = false;
-    --ks.down_count;
     ++ks.repairs;
     trace(kind, index,
           serviceUp() ? "repaired (service up)" : "repaired");
@@ -218,10 +217,17 @@ FaultState::up(Component kind, std::uint32_t index) const
     return !ks.down[index];
 }
 
+std::size_t
+FaultState::KindState::downCount() const
+{
+    return static_cast<std::size_t>(
+        std::count(down.begin(), down.end(), true));
+}
+
 bool
 FaultState::launchOk() const
 {
-    return lims_.down_count == 0 && track_.down_count == 0 &&
+    return lims_.downCount() == 0 && track_.downCount() == 0 &&
            launch_inhibits_ == 0;
 }
 
@@ -230,14 +236,13 @@ FaultState::serviceUp() const
 {
     if (!launchOk())
         return false;
-    return stations_.down.empty() ||
-           stations_.down_count < stations_.down.size();
+    return stations_.down.empty() || stationsUp() > 0;
 }
 
 std::size_t
 FaultState::stationsUp() const
 {
-    return stations_.down.size() - stations_.down_count;
+    return stations_.down.size() - stations_.downCount();
 }
 
 bool
@@ -325,109 +330,29 @@ FaultState::serviceDowntime(double up_to) const
     return down;
 }
 
+template <class Self, class Ar>
 void
-FaultState::saveKind(sim::SnapshotWriter &w, const char *scope,
-                     const KindState &ks)
+FaultState::visit(Self &self, Ar &ar)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> s(w, scope);
-    w.putU64("n", ks.down.size());
-    for (std::size_t i = 0; i < ks.down.size(); ++i) {
-        std::string key("down");
-        key += std::to_string(i);
-        w.putBool(key, ks.down[i]);
-    }
-    w.putU64("failures", ks.failures);
-    w.putU64("repairs", ks.repairs);
+    ar.io("lims", self.lims_);
+    ar.io("track", self.track_);
+    ar.io("stations", self.stations_);
+    // The repair shop in cart-id order.
+    ar.seq("carts", "cart", self.cart_repair_end_, [&ar](auto &entry) {
+        ar.io("id", entry.first);
+        ar.io("end", entry.second);
+    });
+    ar.io("cart_repairs", self.cart_repairs_);
+    ar.io("cart_failures_seen", self.cart_failures_seen_);
+    ar.io("launch_inhibits", self.launch_inhibits_);
+    ar.io("service_up", self.service_up_);
+    ar.seq("edges", "edge", self.transitions_, [&ar](auto &edge) {
+        ar.io("when", edge.first);
+        ar.io("up", edge.second);
+    });
 }
 
-void
-FaultState::restoreKind(sim::SnapshotReader &r, const char *scope,
-                        KindState &ks)
-{
-    sim::SnapshotScope<sim::SnapshotReader> s(r, scope);
-    fatal_if(r.getU64("n") != ks.down.size(),
-             "fault restore: component count does not match the "
-             "checkpoint");
-    ks.down_count = 0;
-    for (std::size_t i = 0; i < ks.down.size(); ++i) {
-        std::string key("down");
-        key += std::to_string(i);
-        ks.down[i] = r.getBool(key);
-        if (ks.down[i])
-            ++ks.down_count;
-    }
-    ks.failures = r.getU64("failures");
-    ks.repairs = r.getU64("repairs");
-}
-
-void
-FaultState::saveState(sim::SnapshotWriter &w) const
-{
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "faults");
-    saveKind(w, "lims", lims_);
-    saveKind(w, "track", track_);
-    saveKind(w, "stations", stations_);
-
-    // The repair shop, sorted by cart id for a canonical document.
-    std::vector<std::pair<std::uint32_t, double>> shop(
-        cart_repair_end_.begin(), cart_repair_end_.end());
-    std::sort(shop.begin(), shop.end());
-    w.putU64("carts", shop.size());
-    for (std::size_t i = 0; i < shop.size(); ++i) {
-        std::string key("cart");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> cs(w, key);
-        w.putU64("id", shop[i].first);
-        w.putDouble("end", shop[i].second);
-    }
-    w.putU64("cart_repairs", cart_repairs_);
-    w.putU64("cart_failures_seen", cart_failures_seen_);
-    w.putU64("launch_inhibits", launch_inhibits_);
-
-    w.putBool("service_up", service_up_);
-    w.putU64("edges", transitions_.size());
-    for (std::size_t i = 0; i < transitions_.size(); ++i) {
-        std::string key("edge");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> es(w, key);
-        w.putDouble("when", transitions_[i].first);
-        w.putBool("up", transitions_[i].second);
-    }
-}
-
-void
-FaultState::restoreState(sim::SnapshotReader &r)
-{
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "faults");
-    restoreKind(r, "lims", lims_);
-    restoreKind(r, "track", track_);
-    restoreKind(r, "stations", stations_);
-
-    cart_repair_end_.clear();
-    const std::uint64_t n_carts = r.getU64("carts");
-    for (std::uint64_t i = 0; i < n_carts; ++i) {
-        std::string key("cart");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> cs(r, key);
-        const auto id = static_cast<std::uint32_t>(r.getU64("id"));
-        cart_repair_end_.emplace(id, r.getDouble("end"));
-    }
-    cart_repairs_ = r.getU64("cart_repairs");
-    cart_failures_seen_ = r.getU64("cart_failures_seen");
-    launch_inhibits_ = r.getU64("launch_inhibits");
-
-    service_up_ = r.getBool("service_up");
-    transitions_.clear();
-    const std::uint64_t n_edges = r.getU64("edges");
-    transitions_.reserve(n_edges);
-    for (std::uint64_t i = 0; i < n_edges; ++i) {
-        std::string key("edge");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> es(r, key);
-        const double when = r.getDouble("when");
-        transitions_.emplace_back(when, r.getBool("up"));
-    }
-}
+DHL_SNAPSHOT_VISIT(FaultState);
 
 double
 FaultState::observedAvailability(double horizon) const

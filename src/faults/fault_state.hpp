@@ -23,13 +23,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/trace.hpp"
 
 namespace dhl {
@@ -219,12 +218,12 @@ class FaultState
      * restore, which per-stage availability accounting depends on.
      * Listeners, the breakdown roller, and the retry policy are
      * configuration re-established by the restoring harness.
-     * restoreState() expects the same components registered; inhibits
-     * are restored as a count, so ops processes must re-schedule their
+     * Restoring expects the same components registered; inhibits are
+     * restored as a count, so ops processes must re-schedule their
      * releases without re-pushing.
      */
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     struct KindState
@@ -232,15 +231,22 @@ class FaultState
         std::vector<bool> down;
         std::uint64_t failures = 0;
         std::uint64_t repairs = 0;
-        std::size_t down_count = 0;
+
+        std::size_t downCount() const;
+
+        template <class Self, class Ar>
+        static void
+        visit(Self &ks, Ar &ar)
+        {
+            ar.count("n", ks.down.size());
+            ar.each("down", ks.down);
+            ar.io("failures", ks.failures);
+            ar.io("repairs", ks.repairs);
+        }
     };
 
     KindState &kindState(Component kind);
     const KindState &kindState(Component kind) const;
-    static void saveKind(sim::SnapshotWriter &w, const char *scope,
-                         const KindState &ks);
-    static void restoreKind(sim::SnapshotReader &r, const char *scope,
-                            KindState &ks);
     void noteServiceEdge();
     void notifyRepair();
     void notifyOutage();
@@ -254,7 +260,7 @@ class FaultState
     KindState track_;
     KindState stations_;
 
-    std::unordered_map<std::uint32_t, double> cart_repair_end_;
+    std::map<std::uint32_t, double> cart_repair_end_;
     std::uint64_t cart_repairs_ = 0;
     std::uint64_t cart_failures_seen_ = 0; ///< distinct carts ever broken
 

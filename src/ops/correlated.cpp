@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace ops {
@@ -151,61 +152,36 @@ CorrelatedFaultModel::stop()
     }
 }
 
+template <class Self, class Ar>
 void
-CorrelatedFaultModel::saveState(sim::SnapshotWriter &w) const
+CorrelatedFaultModel::visit(Self &self, Ar &ar)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "plants");
-    w.putU64("domains", plants_.size());
-    for (std::size_t d = 0; d < plants_.size(); ++d) {
-        const Plant &p = plants_[d];
-        std::string key("d");
-        key += std::to_string(d);
-        sim::SnapshotScope<sim::SnapshotWriter> ds(w, key);
-        w.putRng("rng", p.rng);
-        w.putBool("down", p.down);
-        w.putBool("pending", p.has_pending);
-        if (p.has_pending) {
-            w.putDouble("when", p.pending_when);
-            w.putBool("is_restore", p.pending_is_restore);
-        }
-    }
-    w.putU64("outages", outages_);
-}
-
-void
-CorrelatedFaultModel::restoreState(sim::SnapshotReader &r)
-{
-    for (auto &p : plants_) {
-        simulator().cancel(p.pending);
-        p.has_pending = false;
-    }
-
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "plants");
-    fatal_if(r.getU64("domains") != plants_.size(),
-             "plant restore: domain count does not match the checkpoint");
-    for (std::size_t d = 0; d < plants_.size(); ++d) {
-        Plant &p = plants_[d];
-        std::string key("d");
-        key += std::to_string(d);
-        sim::SnapshotScope<sim::SnapshotReader> ds(r, key);
-        r.getRng("rng", p.rng);
-        p.down = r.getBool("down");
-        p.has_pending = r.getBool("pending");
+    if constexpr (Ar::loading)
+        for (const Plant &p : self.plants_)
+            fatal_if(p.has_pending, "plant restore requires stop() first");
+    ar.count("domains", self.plants_.size());
+    ar.each("d", sim::indices(self.plants_.size()), [&](std::size_t d) {
+        auto &p = self.plants_[d];
+        ar.io("rng", p.rng);
+        ar.io("down", p.down);
+        ar.io("pending", p.has_pending);
         if (!p.has_pending)
-            continue;
-        p.pending_when = r.getDouble("when");
-        p.pending_is_restore = r.getBool("is_restore");
-        const std::size_t dom = d;
-        p.pending = p.pending_is_restore
-                        ? simulator().scheduleAt(
-                              p.pending_when,
-                              [this, dom] { finishOutage(dom); })
-                        : simulator().scheduleAt(
-                              p.pending_when,
-                              [this, dom] { beginOutage(dom); });
-    }
-    outages_ = r.getU64("outages");
+            return;
+        ar.io("when", p.pending_when);
+        ar.io("is_restore", p.pending_is_restore);
+        if constexpr (Ar::loading)
+            p.pending = p.pending_is_restore
+                            ? self.simulator().scheduleAt(
+                                  p.pending_when,
+                                  [&self, d] { self.finishOutage(d); })
+                            : self.simulator().scheduleAt(
+                                  p.pending_when,
+                                  [&self, d] { self.beginOutage(d); });
+    });
+    ar.io("outages", self.outages_);
 }
+
+DHL_SNAPSHOT_VISIT(CorrelatedFaultModel);
 
 } // namespace ops
 } // namespace dhl

@@ -6,6 +6,7 @@
 #include "ops/maintenance.hpp"
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace ops {
@@ -134,62 +135,40 @@ MaintenanceScheduler::cancelPending()
     }
 }
 
+template <class Self, class Ar>
 void
-MaintenanceScheduler::saveState(sim::SnapshotWriter &w) const
+MaintenanceScheduler::visit(Self &self, Ar &ar)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "maintenance");
-    w.putU64("windows", cfg_.windows.size());
-    for (std::size_t i = 0; i < cfg_.windows.size(); ++i) {
-        std::string key("w");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> ws(w, key);
-        w.putBool("open", open_[i]);
-        const Pending &p = pending_[i];
-        w.putBool("pending", p.active);
-        if (p.active) {
-            w.putDouble("when", p.when);
-            w.putBool("is_end", p.is_end);
-            w.putDouble("occurrence", p.occurrence);
-        }
-    }
-    w.putU64("started", started_);
-    w.putU64("completed", completed_);
-}
-
-void
-MaintenanceScheduler::restoreState(sim::SnapshotReader &r)
-{
-    cancelPending();
-
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "maintenance");
-    fatal_if(r.getU64("windows") != cfg_.windows.size(),
-             "maintenance restore: window count does not match the "
-             "checkpoint");
-    for (std::size_t i = 0; i < cfg_.windows.size(); ++i) {
-        std::string key("w");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> ws(r, key);
-        open_[i] = r.getBool("open");
-        Pending &p = pending_[i];
-        p.active = r.getBool("pending");
+    if constexpr (Ar::loading)
+        for (const Pending &p : self.pending_)
+            fatal_if(p.active, "maintenance restore requires stop() first");
+    ar.count("windows", self.cfg_.windows.size());
+    ar.each("w", sim::indices(self.cfg_.windows.size()), [&](std::size_t w) {
+        ar.io("open", self.open_[w]);
+        auto &p = self.pending_[w];
+        ar.io("pending", p.active);
         if (!p.active)
-            continue;
-        p.when = r.getDouble("when");
-        p.is_end = r.getBool("is_end");
-        p.occurrence = r.getDouble("occurrence");
-        const std::size_t w_idx = i;
-        const double start = p.occurrence;
-        p.handle = p.is_end
-                       ? simulator().scheduleAt(
-                             p.when,
-                             [this, w_idx, start] { end(w_idx, start); })
-                       : simulator().scheduleAt(
-                             p.when,
-                             [this, w_idx, start] { begin(w_idx, start); });
-    }
-    started_ = r.getU64("started");
-    completed_ = r.getU64("completed");
+            return;
+        ar.io("when", p.when);
+        ar.io("is_end", p.is_end);
+        ar.io("occurrence", p.occurrence);
+        if constexpr (Ar::loading) {
+            const double start = p.occurrence;
+            p.handle = p.is_end
+                           ? self.simulator().scheduleAt(
+                                 p.when,
+                                 [&self, w, start] { self.end(w, start); })
+                           : self.simulator().scheduleAt(
+                                 p.when, [&self, w, start] {
+                                     self.begin(w, start);
+                                 });
+        }
+    });
+    ar.io("started", self.started_);
+    ar.io("completed", self.completed_);
 }
+
+DHL_SNAPSHOT_VISIT(MaintenanceScheduler);
 
 } // namespace ops
 } // namespace dhl

@@ -91,15 +91,16 @@ class MaintenanceScheduler : public sim::SimObject
 
     //------------------------------------------------------------------
     // Checkpoint/restore.  Each window's next transition (begin or
-    // end) is tracked as an absolute time; restoreState() cancels the
-    // constructor-scheduled plan, restores the open flags and tallies,
-    // and re-schedules the saved transitions.  Launch inhibits are NOT
-    // re-pushed — the restored FaultState already counts them; the
-    // re-scheduled end event pops what the original begin pushed.
+    // end) is tracked as an absolute time; restoring requires stop()
+    // first (the constructor-scheduled plan must go), restores the
+    // open flags and tallies, and re-schedules the saved transitions.
+    // Launch inhibits are NOT re-pushed — the restored FaultState
+    // already counts them; the re-scheduled end event pops what the
+    // original begin pushed.
     //------------------------------------------------------------------
 
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     /** The window's next scheduled transition. */

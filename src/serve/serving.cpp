@@ -16,6 +16,7 @@
 #include "common/random.hpp"
 #include "dhl/analytical.hpp"
 #include "network/route.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace serve {
@@ -530,117 +531,120 @@ ServingSim::finishRequest(const Active &a)
 // Checkpoint/restore
 //===========================================================================
 
+namespace {
+
+/** The configuration fingerprint: a checkpoint only resumes the run
+ *  it came from. */
+template <class Ar>
 void
-ServingSim::saveFingerprint(sim::SnapshotWriter &w) const
+visitConfig(const ServeConfig &cfg, Ar &ar)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "config");
-    w.putU64("tracks", cfg_.tracks);
-    w.putU64("seed", cfg_.seed);
-    w.putDouble("epoch", cfg_.epoch);
-    w.putU64("carts_per_track", cfg_.carts_per_track);
-    w.putU64("max_pending", cfg_.max_pending);
-    w.putString("policy", ops::to_string(cfg_.policy));
-    w.putI64("min_priority_degraded", cfg_.min_priority_degraded);
-    w.putBool("faults", cfg_.faults.enabled);
-    w.putU64("maintenance_windows", cfg_.maintenance.windows.size());
-    w.putBool("domains", cfg_.domains.enabled);
-    w.putBool("te", cfg_.te.enabled);
-    if (cfg_.te.enabled) {
-        sim::SnapshotScope<sim::SnapshotWriter> ts(w, "te");
-        w.putString("mode", te::to_string(cfg_.te.mode));
-        w.putDouble("period", cfg_.te.control_period);
-        w.putDouble("small_bytes", cfg_.te.small_bytes);
-        w.putDouble("optical_capacity", cfg_.te.optical_capacity);
-        w.putDouble("dhl_capacity", cfg_.te.dhl_capacity);
-        w.putString("route", cfg_.te.route);
-        w.putDouble("headroom", cfg_.te.headroom);
-        w.putDouble("multiplier", cfg_.te.usage_multiplier);
-        w.putU64("history", cfg_.te.history);
-        w.putI64("floor", cfg_.te.min_priority_contended);
+    sim::SnapshotScope scope(ar, "config");
+    ar.expect("tracks", cfg.tracks);
+    ar.expect("seed", cfg.seed);
+    ar.expect("epoch", cfg.epoch);
+    ar.expect("carts_per_track", cfg.carts_per_track);
+    ar.expect("max_pending", cfg.max_pending);
+    ar.expect("policy", ops::to_string(cfg.policy));
+    ar.expect("min_priority_degraded", cfg.min_priority_degraded);
+    ar.expect("faults", cfg.faults.enabled);
+    ar.expect("maintenance_windows", cfg.maintenance.windows.size());
+    ar.expect("domains", cfg.domains.enabled);
+    ar.expect("te", cfg.te.enabled);
+    if (cfg.te.enabled) {
+        sim::SnapshotScope ts(ar, "te");
+        ar.expect("mode", te::to_string(cfg.te.mode));
+        ar.expect("period", cfg.te.control_period);
+        ar.expect("small_bytes", cfg.te.small_bytes);
+        ar.expect("optical_capacity", cfg.te.optical_capacity);
+        ar.expect("dhl_capacity", cfg.te.dhl_capacity);
+        ar.expect("route", cfg.te.route);
+        ar.expect("headroom", cfg.te.headroom);
+        ar.expect("multiplier", cfg.te.usage_multiplier);
+        ar.expect("history", cfg.te.history);
+        ar.expect("floor", cfg.te.min_priority_contended);
     }
-    w.putU64("stages", cfg_.stages.size());
-    for (std::size_t i = 0; i < cfg_.stages.size(); ++i) {
-        const workloads::StageSpec &s = cfg_.stages[i];
-        std::string key("stage");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> ss(w, key);
-        w.putString("name", s.name);
-        w.putDouble("duration", s.duration);
-        w.putDouble("start_rate", s.start_rate);
-        w.putDouble("end_rate", s.end_rate);
-        w.putU64("classes", s.mix.size());
-        for (std::size_t c = 0; c < s.mix.size(); ++c) {
-            const workloads::RequestClass &rc = s.mix[c];
-            std::string ck("class");
-            ck += std::to_string(c);
-            sim::SnapshotScope<sim::SnapshotWriter> cs(w, ck);
-            w.putString("tag", rc.tag);
-            w.putDouble("weight", rc.weight);
-            w.putDouble("median_bytes", rc.median_bytes);
-            w.putDouble("sigma", rc.sigma);
-            w.putI64("priority", rc.priority);
-        }
-    }
+    ar.count("stages", cfg.stages.size());
+    ar.each("stage", cfg.stages, [&ar](const workloads::StageSpec &s) {
+        ar.expect("name", s.name);
+        ar.expect("duration", s.duration);
+        ar.expect("start_rate", s.start_rate);
+        ar.expect("end_rate", s.end_rate);
+        ar.count("classes", s.mix.size());
+        ar.each("class", s.mix, [&ar](const workloads::RequestClass &rc) {
+            ar.expect("tag", rc.tag);
+            ar.expect("weight", rc.weight);
+            ar.expect("median_bytes", rc.median_bytes);
+            ar.expect("sigma", rc.sigma);
+            ar.expect("priority", rc.priority);
+        });
+    });
 }
 
+} // namespace
+
+template <class Self, class Ar>
 void
-ServingSim::checkFingerprint(sim::SnapshotReader &r) const
+ServingSim::visit(Self &self, Ar &ar)
 {
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "config");
-    fatal_if(r.getU64("tracks") != cfg_.tracks ||
-                 r.getU64("seed") != cfg_.seed ||
-                 r.getDouble("epoch") != cfg_.epoch ||
-                 r.getU64("carts_per_track") != cfg_.carts_per_track ||
-                 r.getU64("max_pending") != cfg_.max_pending ||
-                 r.getString("policy") != ops::to_string(cfg_.policy) ||
-                 r.getI64("min_priority_degraded") !=
-                     cfg_.min_priority_degraded ||
-                 r.getBool("faults") != cfg_.faults.enabled ||
-                 r.getU64("maintenance_windows") !=
-                     cfg_.maintenance.windows.size() ||
-                 r.getBool("domains") != cfg_.domains.enabled ||
-                 r.getBool("te") != cfg_.te.enabled ||
-                 r.getU64("stages") != cfg_.stages.size(),
-             "serving checkpoint belongs to a different configuration");
-    if (cfg_.te.enabled) {
-        sim::SnapshotScope<sim::SnapshotReader> ts(r, "te");
-        fatal_if(r.getString("mode") != te::to_string(cfg_.te.mode) ||
-                     r.getDouble("period") != cfg_.te.control_period ||
-                     r.getDouble("small_bytes") != cfg_.te.small_bytes ||
-                     r.getDouble("optical_capacity") !=
-                         cfg_.te.optical_capacity ||
-                     r.getDouble("dhl_capacity") != cfg_.te.dhl_capacity ||
-                     r.getString("route") != cfg_.te.route ||
-                     r.getDouble("headroom") != cfg_.te.headroom ||
-                     r.getDouble("multiplier") !=
-                         cfg_.te.usage_multiplier ||
-                     r.getU64("history") != cfg_.te.history ||
-                     r.getI64("floor") != cfg_.te.min_priority_contended,
-                 "serving checkpoint TE configuration does not match");
+    visitConfig(self.cfg_, ar);
+    {
+        sim::SnapshotScope scope(ar, "serve");
+        ar.io("epochs", self.epochs_);
+        ar.io("boundary", self.boundary_);
+        ar.io("rr_next", self.rr_next_);
+        ar.io("served", self.served_);
+        ar.seq("queued", "q", self.queue_, [&](auto &q) {
+            auto &ev = q.ev;
+            ar.io("at", ev.at);
+            ar.io("bytes", ev.bytes);
+            ar.io("tag", ev.tag);
+            ar.io("stage", ev.stage);
+            ar.io("priority", ev.priority);
+            if constexpr (Ar::loading) {
+                fatal_if(ev.stage < 0 ||
+                             static_cast<std::size_t>(ev.stage) >=
+                                 self.slo_.size(),
+                         "serving restore: a queued request's stage is "
+                         "outside the load profile");
+                fatal_if(self.te_ &&
+                             std::find(self.tenant_tags_.begin(),
+                                       self.tenant_tags_.end(),
+                                       ev.tag) == self.tenant_tags_.end(),
+                         "serving restore: a queued request's tag is "
+                         "not a TE tenant");
+            }
+        });
+        ar.each("s", self.slo_);
     }
-    for (std::size_t i = 0; i < cfg_.stages.size(); ++i) {
-        const workloads::StageSpec &s = cfg_.stages[i];
-        std::string key("stage");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> ss(r, key);
-        fatal_if(r.getString("name") != s.name ||
-                     r.getDouble("duration") != s.duration ||
-                     r.getDouble("start_rate") != s.start_rate ||
-                     r.getDouble("end_rate") != s.end_rate ||
-                     r.getU64("classes") != s.mix.size(),
-                 "serving checkpoint stage profile does not match");
-        for (std::size_t c = 0; c < s.mix.size(); ++c) {
-            const workloads::RequestClass &rc = s.mix[c];
-            std::string ck("class");
-            ck += std::to_string(c);
-            sim::SnapshotScope<sim::SnapshotReader> cs(r, ck);
-            fatal_if(r.getString("tag") != rc.tag ||
-                         r.getDouble("weight") != rc.weight ||
-                         r.getDouble("median_bytes") != rc.median_bytes ||
-                         r.getDouble("sigma") != rc.sigma ||
-                         r.getI64("priority") != rc.priority,
-                     "serving checkpoint traffic mix does not match");
-        }
+    ar.io("kernel", self.sim_);
+    ar.io("trace", self.trace_);
+    ar.io("arrivals", *self.arrivals_);
+    ar.each("t", self.tracks_, [&ar](auto &ts) {
+        ar.io("controller", *ts.controller);
+        ar.io("faults", *ts.state);
+        if (ts.injector)
+            ar.io("injector", *ts.injector);
+        // Pool *order* matters: which cart serves a trip decides which
+        // per-cart breakdown stream the trip consumes, so a restored
+        // fleet must hand out carts in the identical sequence.
+        ar.count("pool", ts.pool.size());
+        ar.each("p", ts.pool);
+    });
+    if (self.maintenance_)
+        ar.io("maintenance", *self.maintenance_);
+    if (self.plants_)
+        ar.io("plants", *self.plants_);
+    if (self.te_) {
+        // The drained boundary has zero active flows, so the FlowSim
+        // itself holds no dynamic state worth keeping; the serve layer
+        // checkpoints its own optical accumulators instead.
+        sim::SnapshotScope ts(ar, "te");
+        ar.io("optical_energy", self.optical_energy_);
+        ar.io("optical_served", self.optical_served_);
+        ar.io("downgrades", self.te_downgrades_);
+        ar.each("c", self.class_slo_);
+        ar.io("ctl", *self.te_);
     }
 }
 
@@ -650,86 +654,7 @@ ServingSim::checkpoint(std::ostream &os) const
     fatal_if(in_flight_ != 0,
              "serving checkpoint requires a drained epoch boundary");
     sim::SnapshotWriter w(os);
-    saveFingerprint(w);
-
-    {
-        sim::SnapshotScope<sim::SnapshotWriter> scope(w, "serve");
-        w.putU64("epochs", epochs_);
-        w.putDouble("boundary", boundary_);
-        w.putU64("rr_next", rr_next_);
-        w.putU64("served", served_);
-        w.putU64("queued", queue_.size());
-        for (std::size_t i = 0; i < queue_.size(); ++i) {
-            const workloads::ArrivalEvent &ev = queue_[i].ev;
-            std::string key("q");
-            key += std::to_string(i);
-            sim::SnapshotScope<sim::SnapshotWriter> qs(w, key);
-            w.putDouble("at", ev.at);
-            w.putDouble("bytes", ev.bytes);
-            w.putString("tag", ev.tag);
-            w.putI64("stage", ev.stage);
-            w.putI64("priority", ev.priority);
-        }
-        for (std::size_t i = 0; i < slo_.size(); ++i) {
-            const stats::SloAccumulator &s = slo_[i];
-            std::string key("s");
-            key += std::to_string(i);
-            sim::SnapshotScope<sim::SnapshotWriter> ss(w, key);
-            w.putU64("offered", s.offered());
-            w.putU64("deferred", s.deferred());
-            w.putU64("shed", s.shed());
-            w.putDouble("bytes", s.bytesDelivered());
-            w.putDoubles("latencies", s.latencies());
-        }
-    }
-
-    sim_.saveState(w);
-    trace_.saveState(w);
-    arrivals_->saveState(w);
-    for (std::size_t t = 0; t < tracks_.size(); ++t) {
-        std::string key("t");
-        key += std::to_string(t);
-        sim::SnapshotScope<sim::SnapshotWriter> ts(w, key);
-        tracks_[t].controller->saveState(w);
-        tracks_[t].state->saveState(w);
-        if (tracks_[t].injector)
-            tracks_[t].injector->saveState(w);
-        // Pool *order* matters: which cart serves a trip decides which
-        // per-cart breakdown stream the trip consumes, so a restored
-        // fleet must hand out carts in the identical sequence.
-        w.putU64("pool", tracks_[t].pool.size());
-        for (std::size_t i = 0; i < tracks_[t].pool.size(); ++i) {
-            std::string pk("p");
-            pk += std::to_string(i);
-            w.putU64(pk, tracks_[t].pool[i]);
-        }
-    }
-    if (maintenance_)
-        maintenance_->saveState(w);
-    if (plants_)
-        plants_->saveState(w);
-    if (te_) {
-        // The drained boundary has zero active flows, so the FlowSim
-        // itself holds no dynamic state worth keeping; the serve layer
-        // checkpoints its own optical accumulators instead.
-        sim::SnapshotScope<sim::SnapshotWriter> ts(w, "te");
-        w.putDouble("optical_energy", optical_energy_);
-        w.putU64("optical_served", optical_served_);
-        w.putU64("downgrades", te_downgrades_);
-        for (std::size_t i = 0; i < class_slo_.size(); ++i) {
-            const stats::SloAccumulator &s = class_slo_[i];
-            std::string key("c");
-            key += std::to_string(i);
-            sim::SnapshotScope<sim::SnapshotWriter> cs(w, key);
-            w.putU64("offered", s.offered());
-            w.putU64("deferred", s.deferred());
-            w.putU64("shed", s.shed());
-            w.putDouble("bytes", s.bytesDelivered());
-            w.putDoubles("latencies", s.latencies());
-        }
-        sim::SnapshotScope<sim::SnapshotWriter> ctl(w, "ctl");
-        te_->saveState(w);
-    }
+    visit(*this, w);
 }
 
 void
@@ -737,11 +662,8 @@ ServingSim::restore(std::istream &is)
 {
     fatal_if(epochs_ != 0 || sim_.now() != 0.0,
              "serving restore requires a freshly constructed fleet");
-    sim::SnapshotReader r(is);
-    checkFingerprint(r);
-
     // Empty the event queue: every constructor-scheduled event belongs
-    // to a stoppable process, and Simulator::restoreState requires a
+    // to a stoppable process, and the kernel's restore requires a
     // drained kernel before it rewinds the clock.
     for (TrackSystem &ts : tracks_)
         if (ts.injector)
@@ -755,74 +677,8 @@ ServingSim::restore(std::istream &is)
     fatal_if(sim_.pendingEvents() != 0,
              "serving restore found unexpected pending events");
 
-    sim_.restoreState(r);
-    trace_.restoreState(r);
-    arrivals_->restoreState(r);
-    for (std::size_t t = 0; t < tracks_.size(); ++t) {
-        std::string key("t");
-        key += std::to_string(t);
-        sim::SnapshotScope<sim::SnapshotReader> ts(r, key);
-        tracks_[t].controller->restoreState(r);
-        tracks_[t].state->restoreState(r);
-        if (tracks_[t].injector)
-            tracks_[t].injector->restoreState(r);
-        fatal_if(r.getU64("pool") != tracks_[t].pool.size(),
-                 "serving restore: cart pool size does not match");
-        for (std::size_t i = 0; i < tracks_[t].pool.size(); ++i) {
-            std::string pk("p");
-            pk += std::to_string(i);
-            tracks_[t].pool[i] =
-                static_cast<core::CartId>(r.getU64(pk));
-        }
-    }
-    if (maintenance_)
-        maintenance_->restoreState(r);
-    if (plants_)
-        plants_->restoreState(r);
-    if (te_) {
-        sim::SnapshotScope<sim::SnapshotReader> ts(r, "te");
-        optical_energy_ = r.getDouble("optical_energy");
-        optical_served_ = r.getU64("optical_served");
-        te_downgrades_ = r.getU64("downgrades");
-        for (std::size_t i = 0; i < class_slo_.size(); ++i) {
-            std::string key("c");
-            key += std::to_string(i);
-            sim::SnapshotScope<sim::SnapshotReader> cs(r, key);
-            class_slo_[i].restore(r.getU64("offered"),
-                                  r.getU64("deferred"), r.getU64("shed"),
-                                  r.getDouble("bytes"),
-                                  r.getDoubles("latencies"));
-        }
-        sim::SnapshotScope<sim::SnapshotReader> ctl(r, "ctl");
-        te_->restoreState(r);
-    }
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "serve");
-    epochs_ = r.getU64("epochs");
-    boundary_ = r.getDouble("boundary");
-    rr_next_ = r.getU64("rr_next");
-    served_ = r.getU64("served");
-    queue_.clear();
-    const std::uint64_t queued = r.getU64("queued");
-    for (std::uint64_t i = 0; i < queued; ++i) {
-        std::string key("q");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> qs(r, key);
-        workloads::ArrivalEvent ev;
-        ev.at = r.getDouble("at");
-        ev.bytes = r.getDouble("bytes");
-        ev.tag = r.getString("tag");
-        ev.stage = static_cast<int>(r.getI64("stage"));
-        ev.priority = static_cast<int>(r.getI64("priority"));
-        queue_.push_back(Queued{ev});
-    }
-    for (std::size_t i = 0; i < slo_.size(); ++i) {
-        std::string key("s");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> ss(r, key);
-        slo_[i].restore(r.getU64("offered"), r.getU64("deferred"),
-                        r.getU64("shed"), r.getDouble("bytes"),
-                        r.getDoubles("latencies"));
-    }
+    sim::SnapshotReader r(is);
+    visit(*this, r);
 }
 
 //===========================================================================

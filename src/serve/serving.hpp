@@ -15,7 +15,7 @@
  *               requests (admission paused, backlog preserved)
  *
  * The epoch boundary is *drained*: no request is mid-trip, so the only
- * pending events belong to Snapshotable processes (fault injectors,
+ * pending events belong to checkpointed processes (fault injectors,
  * maintenance windows, plant outages) that record their own absolute
  * event times.  That is what makes the checkpoint exact: restore() on
  * a freshly built ServingSim rewinds the kernel clock, re-arms those
@@ -54,7 +54,6 @@
 #include "ops/dispatcher.hpp"
 #include "ops/maintenance.hpp"
 #include "sim/simulator.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/trace.hpp"
 #include "te/controller.hpp"
 #include "workloads/arrival.hpp"
@@ -274,8 +273,8 @@ class ServingSim
     std::size_t pickTrack(bool degraded) const;
     void runTrip(const std::shared_ptr<Active> &a);
     void finishRequest(const Active &a);
-    void saveFingerprint(sim::SnapshotWriter &w) const;
-    void checkFingerprint(sim::SnapshotReader &r) const;
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
     ServeConfig cfg_;
     sim::Simulator sim_;

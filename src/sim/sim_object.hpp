@@ -16,21 +16,16 @@
 
 #include "common/stats.hpp"
 #include "sim/simulator.hpp"
-#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace sim {
 
 /**
- * A named entity living inside a Simulator.
- *
- * Every SimObject is Snapshotable; the default implementation captures
- * nothing, so objects with no dynamic state (pure queries, closed-form
- * models) participate in a checkpoint for free.  Objects that schedule
- * events or hold RNG streams override saveState()/restoreState() per
- * the contract in sim/snapshot.hpp.
+ * A named entity living inside a Simulator.  Objects that schedule
+ * events or hold RNG streams across a checkpoint define their own
+ * visit() per the contract in sim/snapshot.hpp.
  */
-class SimObject : public Snapshotable
+class SimObject
 {
   public:
     /**
@@ -53,21 +48,13 @@ class SimObject : public Snapshotable
     stats::StatGroup &statsGroup() { return stats_; }
     const stats::StatGroup &statsGroup() const { return stats_; }
 
-    /** Snapshotable default: stateless object, nothing to capture. */
-    void saveState(SnapshotWriter &) const override {}
-    void restoreState(SnapshotReader &) override {}
-
   protected:
     /** Convenience forwarding to the simulator. */
     EventHandle schedule(Time delay, Simulator::Action action);
 
   private:
-    // dhl-analyze: transient(sim_, name_): constructor identity — the
-    // kernel reference and the fixed object name
     Simulator &sim_;
     std::string name_;
-    // dhl-analyze: transient(stats_): host-side stats tallies, restart
-    // from the boundary
     stats::StatGroup stats_;
 };
 

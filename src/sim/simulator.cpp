@@ -181,24 +181,22 @@ Simulator::runEpoch(Time until)
     return EpochResult{end, executed_ - before, size_ == 0};
 }
 
+template <class Self, class Ar>
 void
-Simulator::saveState(SnapshotWriter &w) const
+Simulator::visit(Self &self, Ar &ar)
 {
-    SnapshotScope<SnapshotWriter> scope(w, "kernel");
-    w.putDouble("now", now_);
-    w.putU64("executed", executed_);
+    if constexpr (Ar::loading)
+        fatal_if(self.size_ != 0,
+                 "simulator restore requires an empty event queue (cancel "
+                 "constructor-scheduled events first)");
+    ar.io("now", self.now_);
+    if constexpr (Ar::loading)
+        fatal_if(!(self.now_ >= 0.0) || std::isinf(self.now_),
+                 "simulator restore: the clock must be finite and >= 0");
+    ar.io("executed", self.executed_);
 }
 
-void
-Simulator::restoreState(SnapshotReader &r)
-{
-    fatal_if(size_ != 0,
-             "simulator restore requires an empty event queue (cancel "
-             "constructor-scheduled events first)");
-    SnapshotScope<SnapshotReader> scope(r, "kernel");
-    now_ = r.getDouble("now");
-    executed_ = r.getU64("executed");
-}
+DHL_SNAPSHOT_VISIT(Simulator);
 
 std::uint64_t
 Simulator::step(std::uint64_t max_events)

@@ -37,9 +37,6 @@
 namespace dhl {
 namespace sim {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 /** Simulation time in seconds. */
 using Time = double;
 
@@ -194,20 +191,16 @@ class Simulator
     /**
      * Checkpoint the kernel clock (sim/snapshot.hpp).  Only `now` and
      * the executed-event count are captured: pending events belong to
-     * the Snapshotable objects that scheduled them and are re-created
-     * on restore at their saved absolute times.  The schedule/cancel
-     * statistics counters are host-side tallies, not simulated state,
-     * and restart from the boundary.
+     * the processes that scheduled them and are re-created on restore
+     * at their saved absolute times.  The schedule/cancel statistics
+     * counters are host-side tallies, not simulated state, and restart
+     * from the boundary.  Restoring requires an *empty* queue (fatal
+     * otherwise) and must precede every re-schedule — the restored
+     * `now` is what makes their absolute-time scheduleAt() calls land
+     * correctly.
      */
-    void saveState(SnapshotWriter &w) const;
-
-    /**
-     * Restore the kernel clock.  Must be called on an *empty* queue
-     * (fatal otherwise), before any Snapshotable re-schedules — the
-     * restored `now` is what makes their absolute-time scheduleAt()
-     * calls land correctly.
-     */
-    void restoreState(SnapshotReader &r);
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     /**
@@ -287,7 +280,7 @@ class Simulator
     Time now_;
     // dhl-analyze: transient(next_seq_): FIFO tie-break is relative
     // order only; a restored run re-counts from zero identically
-    // dhl-analyze: transient(size_, stopped_): restoreState requires a
+    // dhl-analyze: transient(size_, stopped_): restoring requires a
     // drained (empty, not-stopped) queue and asserts it
     std::uint64_t next_seq_;
     std::uint64_t executed_;
@@ -296,7 +289,7 @@ class Simulator
 
     // dhl-analyze: transient(heap_, slot_gen_, action_chunks_,
     // free_slots_): the queue is empty at a legal checkpoint boundary;
-    // pending events belong to the Snapshotables that re-create them
+    // pending events belong to the processes that re-create them
     std::vector<HeapEntry> heap_;
     /** Generation per slot; bumped whenever the slot's occupant leaves
      *  (fires or is cancelled), invalidating outstanding handles and

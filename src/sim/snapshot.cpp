@@ -95,6 +95,14 @@ readAll(std::istream &is)
 
 } // namespace
 
+std::string
+indexedKey(std::string_view prefix, std::size_t i)
+{
+    std::string key(prefix);
+    key += std::to_string(i);
+    return key;
+}
+
 //===========================================================================
 // SnapshotWriter
 //===========================================================================
@@ -261,6 +269,15 @@ SnapshotReader::badValue(std::string_view what, std::string_view key,
 {
     fatal("snapshot: bad " + std::string(what) + " for '" + fullKey(key) +
           "': '" + std::string(text) + "'");
+}
+
+void
+SnapshotReader::mismatch(std::string_view key) const
+{
+    fatal("snapshot: '" + fullKey(key) + "' = '" +
+          std::string(rawValue(key)) +
+          "' does not match this run (the checkpoint belongs to a "
+          "different configuration)");
 }
 
 std::string

@@ -7,6 +7,7 @@
 
 #include "common/logging.hpp"
 #include "common/units.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace sim {
@@ -48,45 +49,22 @@ TraceRecorder::setCapacity(std::size_t max_records)
     }
 }
 
+template <class Self, class Ar>
 void
-TraceRecorder::saveState(SnapshotWriter &w) const
+TraceRecorder::visit(Self &self, Ar &ar)
 {
-    SnapshotScope<SnapshotWriter> scope(w, "trace");
-    w.putU64("capacity", capacity_);
-    w.putU64("emitted", emitted_);
-    w.putU64("dropped", dropped_);
-    w.putU64("records", records_.size());
-    std::size_t i = 0;
-    for (const auto &rec : records_) {
-        std::string key("r");
-        key += std::to_string(i++);
-        SnapshotScope<SnapshotWriter> rs(w, key);
-        w.putDouble("when", rec.when);
-        w.putString("category", rec.category);
-        w.putString("object", rec.object);
-        w.putString("message", rec.message);
-    }
+    ar.expect("capacity", self.capacity_);
+    ar.io("emitted", self.emitted_);
+    ar.io("dropped", self.dropped_);
+    ar.seq("records", "r", self.records_, [&ar](auto &rec) {
+        ar.io("when", rec.when);
+        ar.io("category", rec.category);
+        ar.io("object", rec.object);
+        ar.io("message", rec.message);
+    });
 }
 
-void
-TraceRecorder::restoreState(SnapshotReader &r)
-{
-    SnapshotScope<SnapshotReader> scope(r, "trace");
-    fatal_if(r.getU64("capacity") != capacity_,
-             "trace restore: capacity does not match the checkpoint");
-    emitted_ = r.getU64("emitted");
-    dropped_ = r.getU64("dropped");
-    records_.clear();
-    const std::uint64_t n = r.getU64("records");
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::string key("r");
-        key += std::to_string(i);
-        SnapshotScope<SnapshotReader> rs(r, key);
-        records_.push_back(TraceRecord{
-            r.getDouble("when"), r.getString("category"),
-            r.getString("object"), r.getString("message")});
-    }
-}
+DHL_SNAPSHOT_VISIT(TraceRecorder);
 
 std::vector<TraceRecord>
 TraceRecorder::filter(std::string_view category) const

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace sim {
@@ -100,8 +99,8 @@ class TraceRecorder
      * The capacity and enabled flag are configuration, not state, and
      * must match on the restoring side (fatal on a capacity mismatch).
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     // dhl-analyze: transient(sim_): constructor wiring

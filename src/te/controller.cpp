@@ -1,6 +1,7 @@
 #include "te/controller.hpp"
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace te {
@@ -66,10 +67,11 @@ TeController::TeController(sim::Simulator &sim, const TeConfig &cfg,
       demand_optical_(tenants_.size(), 0.0),
       alloc_dhl_(tenants_.size(), 0.0),
       alloc_optical_(tenants_.size(), 0.0),
-      contended_(tenants_.size(), false),
-      stat_ticks_(statsGroup().addCounter("ticks",
-                                          "control epochs executed"))
+      contended_(tenants_.size(), false)
 {
+    statsGroup().addFormula("ticks", "control epochs executed", [this] {
+        return static_cast<double>(ticks_);
+    });
     validate(cfg_);
     fatal_if(tenants_.empty(), "te: at least one tenant required");
     for (const auto &t : tenants_) {
@@ -129,7 +131,6 @@ void TeController::tick()
 {
     tick_pending_ = false;
     ++ticks_;
-    ++stat_ticks_;
 
     // Observed usage over the closing control epoch -> estimator.
     for (std::size_t s = 0; s < pending_bytes_.size(); ++s) {
@@ -235,52 +236,32 @@ bool TeController::contended(std::size_t tenant) const
     return contended_[tenant];
 }
 
-void TeController::saveState(sim::SnapshotWriter &w) const
+template <class Self, class Ar>
+void TeController::visit(Self &self, Ar &ar)
 {
-    w.putU64("ticks", ticks_);
-    w.putBool("tick_pending", tick_pending_);
-    w.putDouble("tick_when", tick_when_);
-    w.putBool("downgrade_ok", downgrade_ok_);
-    for (std::size_t s = 0; s < pending_bytes_.size(); ++s)
-        w.putDouble("p" + std::to_string(s), pending_bytes_[s]);
-    for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        sim::SnapshotScope scope(w, "t" + std::to_string(t));
-        w.putDouble("dd", demand_dhl_[t]);
-        w.putDouble("do", demand_optical_[t]);
-        w.putDouble("ad", alloc_dhl_[t]);
-        w.putDouble("ao", alloc_optical_[t]);
-        w.putBool("contended", contended_[t]);
-    }
-    {
-        sim::SnapshotScope scope(w, "estimator");
-        estimator_.saveState(w);
-    }
+    if constexpr (Ar::loading)
+        fatal_if(self.tick_pending_, "te: stop() before restore");
+    ar.io("ticks", self.ticks_);
+    ar.io("tick_pending", self.tick_pending_);
+    ar.io("tick_when", self.tick_when_);
+    // Relative to the restored clock, exactly as armTick() schedules.
+    if constexpr (Ar::loading)
+        if (self.tick_pending_)
+            self.tick_handle_ = self.schedule(
+                self.tick_when_ - self.now(), [&self] { self.tick(); });
+    ar.io("downgrade_ok", self.downgrade_ok_);
+    ar.each("p", self.pending_bytes_);
+    ar.each("t", sim::indices(self.tenants_.size()), [&](std::size_t t) {
+        ar.io("dd", self.demand_dhl_[t]);
+        ar.io("do", self.demand_optical_[t]);
+        ar.io("ad", self.alloc_dhl_[t]);
+        ar.io("ao", self.alloc_optical_[t]);
+        ar.io("contended", self.contended_[t]);
+    });
+    ar.io("estimator", self.estimator_);
 }
 
-void TeController::restoreState(sim::SnapshotReader &r)
-{
-    fatal_if(tick_pending_, "te: stop() before restoreState()");
-    ticks_ = r.getU64("ticks");
-    stat_ticks_.reset();
-    stat_ticks_.increment(ticks_);
-    downgrade_ok_ = r.getBool("downgrade_ok");
-    for (std::size_t s = 0; s < pending_bytes_.size(); ++s)
-        pending_bytes_[s] = r.getDouble("p" + std::to_string(s));
-    for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        sim::SnapshotScope scope(r, "t" + std::to_string(t));
-        demand_dhl_[t] = r.getDouble("dd");
-        demand_optical_[t] = r.getDouble("do");
-        alloc_dhl_[t] = r.getDouble("ad");
-        alloc_optical_[t] = r.getDouble("ao");
-        contended_[t] = r.getBool("contended");
-    }
-    {
-        sim::SnapshotScope scope(r, "estimator");
-        estimator_.restoreState(r);
-    }
-    if (r.getBool("tick_pending"))
-        armTick(r.getDouble("tick_when"));
-}
+DHL_SNAPSHOT_VISIT(TeController);
 
 } // namespace te
 } // namespace dhl

@@ -139,7 +139,7 @@ struct TeDecision
 /**
  * The periodic TE control loop as a SimObject.  Construct, then
  * start(); the owner must stop() before checkpoint-restore re-arming
- * (restoreState re-schedules the saved pending tick).
+ * (restoring re-schedules the saved pending tick).
  */
 class TeController : public sim::SimObject
 {
@@ -188,8 +188,8 @@ class TeController : public sim::SimObject
     bool downgradeOk() const { return downgrade_ok_; }
 
     /** Snapshot support (drained-boundary contract). */
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     void armTick(double when);
@@ -218,15 +218,11 @@ class TeController : public sim::SimObject
 
     std::uint64_t ticks_ = 0;
     bool tick_pending_ = false;
-    // dhl-analyze: transient(tick_when_, tick_handle_): the pending
-    // tick is re-armed on restore via armTick(saved "tick_when")
     double tick_when_ = 0.0;
+    // dhl-analyze: transient(tick_handle_): the pending tick is
+    // re-scheduled from tick_when_ on restore
     sim::EventHandle tick_handle_{};
     std::function<void()> on_tick_;
-
-    // dhl-analyze: transient(stat_ticks_): host-side stats tally,
-    // restarts from the boundary
-    stats::Counter &stat_ticks_;
 };
 
 } // namespace te

@@ -1,18 +1,20 @@
 #include "te/demand.hpp"
 
 #include <algorithm>
-#include <string>
+#include <span>
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace te {
 
 DemandEstimator::DemandEstimator(const DemandConfig &cfg, std::size_t series)
-    : cfg_(cfg), history_(series), next_(series, 0)
+    : cfg_(cfg), filled_(series, 0), next_(series, 0)
 {
     fatal_if(cfg_.history < 1, "te: demand history must be >= 1");
     fatal_if(cfg_.multiplier <= 0.0, "te: demand multiplier must be > 0");
+    history_.assign(series, std::vector<double>(cfg_.history, 0.0));
 }
 
 void DemandEstimator::record(std::size_t series, double usage)
@@ -20,8 +22,8 @@ void DemandEstimator::record(std::size_t series, double usage)
     fatal_if(series >= history_.size(), "te: demand series out of range");
     fatal_if(usage < 0.0, "te: usage rate must be >= 0");
     auto &ring = history_[series];
-    if (ring.size() < cfg_.history) {
-        ring.push_back(usage);
+    if (filled_[series] < cfg_.history) {
+        ring[filled_[series]++] = usage;
     } else {
         ring[next_[series]] = usage;
         next_[series] = (next_[series] + 1) % cfg_.history;
@@ -32,34 +34,28 @@ double DemandEstimator::estimate(std::size_t series) const
 {
     fatal_if(series >= history_.size(), "te: demand series out of range");
     const auto &ring = history_[series];
-    if (ring.empty())
+    const auto filled = static_cast<std::ptrdiff_t>(filled_[series]);
+    if (filled == 0)
         return 0.0;
-    return cfg_.multiplier * *std::max_element(ring.begin(), ring.end());
+    return cfg_.multiplier *
+           *std::max_element(ring.begin(), ring.begin() + filled);
 }
 
-void DemandEstimator::saveState(sim::SnapshotWriter &w) const
+template <class Self, class Ar>
+void DemandEstimator::visit(Self &self, Ar &ar)
 {
-    for (std::size_t s = 0; s < history_.size(); ++s) {
-        sim::SnapshotScope scope(w, "d" + std::to_string(s));
-        w.putU64("n", history_[s].size());
-        w.putU64("next", next_[s]);
-        for (std::size_t i = 0; i < history_[s].size(); ++i)
-            w.putDouble("h" + std::to_string(i), history_[s][i]);
-    }
+    const std::size_t window = self.cfg_.history;
+    ar.each("d", sim::indices(self.history_.size()), [&](std::size_t s) {
+        ar.io("n", self.filled_[s]);
+        ar.io("next", self.next_[s]);
+        if constexpr (Ar::loading)
+            fatal_if(self.filled_[s] > window || self.next_[s] >= window,
+                     "te: snapshot history exceeds window");
+        ar.each("h", std::span(self.history_[s].data(), self.filled_[s]));
+    });
 }
 
-void DemandEstimator::restoreState(sim::SnapshotReader &r)
-{
-    for (std::size_t s = 0; s < history_.size(); ++s) {
-        sim::SnapshotScope scope(r, "d" + std::to_string(s));
-        const std::uint64_t n = r.getU64("n");
-        fatal_if(n > cfg_.history, "te: snapshot history exceeds window");
-        history_[s].assign(n, 0.0);
-        next_[s] = r.getU64("next");
-        for (std::size_t i = 0; i < n; ++i)
-            history_[s][i] = r.getDouble("h" + std::to_string(i));
-    }
-}
+DHL_SNAPSHOT_VISIT(DemandEstimator);
 
 } // namespace te
 } // namespace dhl

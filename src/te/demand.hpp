@@ -21,8 +21,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "sim/snapshot.hpp"
-
 namespace dhl {
 namespace te {
 
@@ -54,16 +52,19 @@ class DemandEstimator
     double estimate(std::size_t series) const;
 
     /** Snapshot support (exact: doubles as bit patterns). */
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     // dhl-analyze: transient(cfg_): constructor input; restore
-    // validates the checkpointed ring sizes against it
+    // validates the checkpointed ring fill against it
     DemandConfig cfg_;
-    /** Per-series ring of the last `cfg_.history` observations. */
+    /** Per-series ring of `cfg_.history` slots; the first filled_
+     *  hold the last observations. */
     std::vector<std::vector<double>> history_;
-    /** Per-series next ring slot to overwrite. */
+    /** Per-series slots in use (grows to `cfg_.history`). */
+    std::vector<std::size_t> filled_;
+    /** Per-series next ring slot to overwrite once full. */
     std::vector<std::size_t> next_;
 };
 

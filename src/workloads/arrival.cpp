@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace workloads {
@@ -36,24 +37,19 @@ ReplayArrivalProcess::take(double until)
     return out;
 }
 
+template <class Self, class Ar>
 void
-ReplayArrivalProcess::saveState(sim::SnapshotWriter &w) const
+ReplayArrivalProcess::visit(Self &self, Ar &ar)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "arrivals");
-    w.putU64("next", next_);
-    w.putDouble("cursor", cursor_);
+    ar.io("next", self.next_);
+    if constexpr (Ar::loading)
+        fatal_if(self.next_ > self.requests_.size(),
+                 "arrival restore: cursor beyond the request list (the "
+                 "checkpoint was taken against a different workload)");
+    ar.io("cursor", self.cursor_);
 }
 
-void
-ReplayArrivalProcess::restoreState(sim::SnapshotReader &r)
-{
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "arrivals");
-    next_ = r.getU64("next");
-    fatal_if(next_ > requests_.size(),
-             "arrival restore: cursor beyond the request list (the "
-             "checkpoint was taken against a different workload)");
-    cursor_ = r.getDouble("cursor");
-}
+DHL_SNAPSHOT_VISIT(ReplayArrivalProcess);
 
 //===========================================================================
 // StagedArrivalProcess
@@ -175,28 +171,21 @@ StagedArrivalProcess::take(double until)
     return out;
 }
 
+template <class Self, class Ar>
 void
-StagedArrivalProcess::saveState(sim::SnapshotWriter &w) const
+StagedArrivalProcess::visit(Self &self, Ar &ar)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "arrivals");
-    w.putU64("stage", stage_);
-    w.putDouble("cursor", cursor_);
-    w.putU64("emitted", emitted_);
-    w.putRng("rng", rng_);
+    ar.io("stage", self.stage_);
+    if constexpr (Ar::loading)
+        fatal_if(self.stage_ > self.stages_.size(),
+                 "arrival restore: stage index beyond the profile (the "
+                 "checkpoint was taken against a different profile)");
+    ar.io("cursor", self.cursor_);
+    ar.io("emitted", self.emitted_);
+    ar.io("rng", self.rng_);
 }
 
-void
-StagedArrivalProcess::restoreState(sim::SnapshotReader &r)
-{
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "arrivals");
-    stage_ = r.getU64("stage");
-    fatal_if(stage_ > stages_.size(),
-             "arrival restore: stage index beyond the profile (the "
-             "checkpoint was taken against a different profile)");
-    cursor_ = r.getDouble("cursor");
-    emitted_ = r.getU64("emitted");
-    r.getRng("rng", rng_);
-}
+DHL_SNAPSHOT_VISIT(StagedArrivalProcess);
 
 //===========================================================================
 // parseStageSpec

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "sim/snapshot.hpp"
 #include "workloads/generator.hpp"
 
 namespace dhl {
@@ -95,9 +94,6 @@ class ArrivalProcess
 
     /** True once no future arrival can ever be produced. */
     virtual bool exhausted() const = 0;
-
-    virtual void saveState(sim::SnapshotWriter &w) const = 0;
-    virtual void restoreState(sim::SnapshotReader &r) = 0;
 };
 
 /**
@@ -115,8 +111,8 @@ class ReplayArrivalProcess : public ArrivalProcess
     double cursor() const override { return cursor_; }
     bool exhausted() const override { return next_ >= requests_.size(); }
 
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
   private:
     // dhl-analyze: transient(requests_): the replayed trace itself —
@@ -149,8 +145,8 @@ class StagedArrivalProcess : public ArrivalProcess
     double cursor() const override { return cursor_; }
     bool exhausted() const override { return stage_ >= stages_.size(); }
 
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
 
     std::size_t stageCount() const { return stages_.size(); }
     const StageSpec &stage(std::size_t i) const { return stages_.at(i); }

@@ -105,11 +105,11 @@ TEST(ReplayArrival, SnapshotResumesMidStream)
     std::stringstream doc;
     {
         sim::SnapshotWriter w(doc);
-        p.saveState(w);
+        w.io("arrivals", p);
     }
     ReplayArrivalProcess q(requests);
     sim::SnapshotReader r(doc);
-    q.restoreState(r);
+    r.io("arrivals", q);
     EXPECT_EQ(q.cursor(), 1.5);
 
     const auto from_p = p.take(10.0);
@@ -201,11 +201,11 @@ TEST(StagedArrival, SnapshotContinuesByteForByteOnSameGrid)
     std::stringstream doc;
     {
         sim::SnapshotWriter w(doc);
-        first.saveState(w);
+        w.io("arrivals", first);
     }
     StagedArrivalProcess second(rampHoldDrain(), 1); // wrong seed on purpose
     sim::SnapshotReader r(doc);
-    second.restoreState(r);
+    r.io("arrivals", second);
     EXPECT_EQ(second.cursor(), 800.0);
     for (double t = 1000.0; t <= second.totalDuration() + 1e-9; t += 200.0)
         for (ArrivalEvent &ev : second.take(t))

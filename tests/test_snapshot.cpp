@@ -304,12 +304,12 @@ TEST(SnapshotTest, SimulatorKernelRoundTrip)
     std::stringstream doc;
     {
         SnapshotWriter w(doc);
-        sim.saveState(w);
+        w.io("kernel", sim);
     }
 
     Simulator copy;
     SnapshotReader r(doc);
-    copy.restoreState(r);
+    r.io("kernel", copy);
     EXPECT_EQ(copy.now(), sim.now());
 
     // Restored clock gates future scheduling exactly like the original.
@@ -329,13 +329,13 @@ TEST(SnapshotTest, SimulatorRefusesRestoreWithPendingEvents)
     std::stringstream doc;
     {
         SnapshotWriter w(doc);
-        sim.saveState(w);
+        w.io("kernel", sim);
     }
 
     Simulator busy;
     busy.schedule(5.0, [] {});
     SnapshotReader r(doc);
-    EXPECT_THROW(busy.restoreState(r), FatalError);
+    EXPECT_THROW(r.io("kernel", busy), FatalError);
 }
 
 TEST(SnapshotTest, RunEpochStopsAtBoundary)

@@ -23,6 +23,7 @@
 #include "serve/serving.hpp"
 #include "te/controller.hpp"
 #include "te/demand.hpp"
+#include "sim/snapshot.hpp"
 
 using namespace dhl;
 namespace u = dhl::units;
@@ -86,12 +87,12 @@ TEST(DemandEstimatorTest, SnapshotRoundTrips)
     std::stringstream buf;
     {
         sim::SnapshotWriter w(buf);
-        est.saveState(w);
+        w.io("estimator", est);
     }
     te::DemandEstimator fresh({4, 1.25}, 2);
     {
         sim::SnapshotReader r(buf);
-        fresh.restoreState(r);
+        r.io("estimator", fresh);
     }
     EXPECT_DOUBLE_EQ(fresh.estimate(0), est.estimate(0));
     EXPECT_DOUBLE_EQ(fresh.estimate(1), est.estimate(1));
@@ -209,13 +210,13 @@ TEST(TeControllerTest, SnapshotRoundTripPreservesDecisions)
     std::stringstream buf;
     {
         sim::SnapshotWriter w(buf);
-        ctl.saveState(w);
+        w.io("ctl", ctl);
     }
     sim::Simulator sim2;
     te::TeController fresh(sim2, tc, {{"t", 1.0}});
     {
         sim::SnapshotReader r(buf);
-        fresh.restoreState(r);
+        r.io("ctl", fresh);
     }
     EXPECT_EQ(fresh.ticks(), ctl.ticks());
     EXPECT_DOUBLE_EQ(fresh.demand(0, te::Substrate::Dhl),

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Whole-program determinism & snapshot-coverage analyzer for the DHL
-codebase.
+"""Static-analysis gate for the DHL codebase: whole-program
+determinism & snapshot-coverage rules plus single-file textual rules.
 
-Pure Python (no clang dependency, like tools/lint_dhl.py) so it runs
-identically on developer machines and in CI.  Where lint_dhl.py checks
-single-file textual invariants (R1-R4), this tool parses the *include
-graph* plus a lightweight C++ class-member/statement model of src/ and
-enforces the whole-program invariants the byte-identity CI jobs can
-only catch after the fact:
+Pure Python (no clang dependency) so it runs identically on developer
+machines and in CI.  It parses the *include graph* plus a lightweight
+C++ class-member/statement model of src/ and enforces the invariants
+the compiler cannot and the byte-identity CI jobs can only catch after
+the fact:
 
   A1  layer-dag            One declarative adjacency table (LAYER_DEPS)
                            covers every directory under src/: each
@@ -18,31 +17,32 @@ only catch after the fact:
                            set being widened (anything but serve/ops
                            including te/), and any src/ file reaching
                            *out* to the front-end trees (bench/, tools/,
-                           examples/).  Subsumes the four hand-rolled
-                           layering rules R5-R8 that used to live in
-                           lint_dhl.py.  A directory missing from the
+                           examples/).  A directory missing from the
                            table is itself a finding (layer-unknown):
                            growing a new subsystem forces a conscious
                            DAG decision.  --dot exports the graph.
-  A2  snapshot-coverage    Every class that implements the snapshot
-                           protocol (saveState/restoreState taking
-                           SnapshotWriter/SnapshotReader, or
-                           checkpoint/restore constructing them) must
-                           account for each non-static data member: the
-                           member is referenced on *both* the save and
-                           the restore side, or it carries an explicit
+  A2  snapshot-coverage    Every class with a checkpoint visitor
+                           (`visit(Self &self, Ar &ar)`, see
+                           sim/snapshot.hpp) must account for each
+                           non-static data member: the member appears
+                           in the visit body, or it carries an explicit
                            in-source allowlist comment
                              // dhl-analyze: transient(<m1>, <m2>): why
                            inside the class body.  Adding a field to
-                           ServingSim without serialising it fails CI
+                           ServingSim without checkpointing it fails CI
                            instead of silently diverging a checkpoint.
-  A3  snapshot-keys        The literal `put*` keys written by a class's
-                           save side must equal the literal `get*`/
-                           `has` keys read by its restore side —
-                           a write-only or read-only key is a drifting
-                           document schema.
+                           One body serves both sides, so the save and
+                           restore halves cannot drift apart.
+  A3  snapshot-io          No direct SnapshotWriter/SnapshotReader
+                           put*/get* call in src/ outside
+                           sim/snapshot.*: checkpointed state goes
+                           through the visit vocabulary (io, count,
+                           expect, each, seq).  Properties and
+                           ArgParser own same-named getters and are
+                           allowlisted by file.
   A4  snapshot-transient   A transient(...) annotation naming a member
-                           the class does not declare is stale and must
+                           the class does not declare, or sitting in a
+                           class without a visit(), is stale and must
                            be removed (it would mask a future field).
   A5  unordered-iteration  Range-for / iterator loops over
                            unordered_map/unordered_set whose body
@@ -66,8 +66,24 @@ only catch after the fact:
                            caller-participating ThreadPool, whose
                            fork/join handshake is the only
                            synchronisation the determinism contract
-                           allows.  (Migrated from lint_dhl.py rule
-                           R7.)
+                           allows.
+
+Single-file textual rules over src/:
+
+  R1  magnitude-literals   No raw ``* 1e9`` / ``/ 1e12``-style unit
+                           conversions outside units.hpp and
+                           quantity.hpp — use the named helpers
+                           (units::toMegajoules, qty::petabytes, ...).
+  R2  iostream-in-src      No ``std::cout`` / ``std::cerr`` — library
+                           code reports through logging.hpp (whose
+                           default sink is the one exemption); only
+                           tools/, bench/ and examples/ print.
+  R3  nondeterminism       No ``rand()`` / ``srand()`` / ``time(`` —
+                           the DES must be seed-reproducible (use
+                           common/random.hpp Rng).
+  R4  include-guards       Headers use the canonical ``DHL_<PATH>_HPP``
+                           guard so guards never collide as the tree
+                           grows.
 
 Usage:
   tools/dhl_analyze.py [--root DIR] [--dot FILE]   analyze (exit 1 on findings)
@@ -246,8 +262,7 @@ class ClassModel(object):
         self.span = (start, end)        # offsets into the file text
         self.members = []               # (name, type_text, line)
         self.transients = {}            # member name -> line
-        self.save_bodies = []           # masked body text of save side
-        self.restore_bodies = []
+        self.visit_bodies = []          # masked visit() body text
 
 
 def extract_classes(rel_path, text, masked):
@@ -379,10 +394,6 @@ def _param_and_body(masked, paren_open):
     return params, masked[j + 1:close], True
 
 
-WRITER_CTOR_RE = re.compile(r"\bSnapshotWriter\s+[A-Za-z_]\w*\s*[({]")
-READER_CTOR_RE = re.compile(r"\bSnapshotReader\s+[A-Za-z_]\w*\s*[({]")
-
-
 def collect_method_bodies(masked):
     """Qualified method definitions in one (masked) file:
     [(class_name, method_name, params, body)]."""
@@ -406,29 +417,21 @@ def collect_inline_bodies(masked, cls):
     return defs
 
 
-def side_of(params, body):
-    """'save', 'restore', or None for one method definition."""
-    if "SnapshotWriter" in params or WRITER_CTOR_RE.search(body):
-        return "save"
-    if "SnapshotReader" in params or READER_CTOR_RE.search(body):
-        return "restore"
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Snapshot key extraction (A3).
+# A3: snapshot I/O goes through the visit vocabulary.
 # ---------------------------------------------------------------------------
 
-# Keys must be extracted from *unmasked* method bodies (string literals
-# carry the key names), so the key pass re-runs the body extraction on
-# raw text.  put/get with a non-literal first argument (a composed
-# key such as "lat" + to_string(i)) is outside the literal check.
-PUT_KEY_RE = re.compile(
-    r"\.\s*put(?:String|U64|I64|Bool|Doubles|Double|Rng)"
-    r"\s*\(\s*\"([^\"]+)\"")
-GET_KEY_RE = re.compile(
-    r"\.\s*(?:get(?:String|U64|I64|Bool|Doubles|Double|Rng)|has)"
-    r"\s*\(\s*\"([^\"]+)\"")
+SNAPSHOT_IO_RE = re.compile(
+    r"\b(?:put|get)(?:String|U64|I64|Bool|Doubles|Double|Rng)\s*\(")
+
+# The snapshot module itself, and the owners of same-named getters that
+# parse properties files and command lines, not snapshots.
+SNAPSHOT_IO_ALLOWLIST = {
+    "src/sim/snapshot.hpp", "src/sim/snapshot.cpp",
+    "src/common/properties.hpp", "src/common/properties.cpp",
+    "src/common/args.hpp", "src/common/args.cpp",
+    "src/dhl/config_io.cpp",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +450,8 @@ ITER_FOR_RE = re.compile(
 
 ACCUM_RE = re.compile(r"(?:\+=|-=|\*=|/=)")
 SCHED_RE = re.compile(r"\.\s*schedule\w*\s*\(")
-SNAPWRITE_RE = re.compile(r"\.\s*put[A-Z]\w*\s*\(")
+SNAPWRITE_RE = re.compile(
+    r"\.\s*(?:put[A-Z]\w*|io|each|seq)\s*\(")
 
 RNG_LITERAL_RE = re.compile(r"\bRng\s+[A-Za-z_]\w*\s*[({]\s*(?:0x[0-9a-fA-F]+|\d)"
                             r"|\bRng\s*[({]\s*(?:0x[0-9a-fA-F]+|\d)")
@@ -460,7 +464,6 @@ POINTER_KEY_RE = re.compile(
 # A8: raw threading primitives.  Everything below either spawns threads
 # or synchronises them; simulation code must instead use the ThreadPool
 # so every cross-thread effect goes through a deterministic barrier.
-# (Migrated from lint_dhl.py rule R7.)
 RAW_THREADING_RE = re.compile(
     r"\bstd::(?:thread|jthread|async|mutex|recursive_mutex|timed_mutex"
     r"|shared_mutex|condition_variable(?:_any)?|lock_guard|unique_lock"
@@ -644,10 +647,9 @@ def check_layers(files, table=None):
 
 
 def build_class_registry(files):
-    """Attach method bodies (qualified defs from any file + in-class
-    inline defs) to their class models; merge same-named classes by
-    (name) for body attachment, keyed per declaring file for member
-    checks.  Returns the list of all class models."""
+    """Attach visit() bodies (qualified defs from any src/ file + in-class
+    inline defs) to their class models, by class name.  Returns the list
+    of all class models."""
     by_name = {}
     all_classes = []
     for fm in files:
@@ -658,147 +660,156 @@ def build_class_registry(files):
     for fm in files:
         if src_dir_of(fm.posix) is None:
             continue
-        for cls_name, _method, params, body in collect_method_bodies(
+        for cls_name, method, _params, body in collect_method_bodies(
                 fm.masked):
-            side = side_of(params, body)
-            if side is None:
+            if method != "visit":
                 continue
             for cls in by_name.get(cls_name, ()):
-                (cls.save_bodies if side == "save"
-                 else cls.restore_bodies).append(body)
-    for fm in files:
-        if src_dir_of(fm.posix) is None:
-            continue
+                cls.visit_bodies.append(body)
         for cls in fm.classes:
-            for _name, _method, params, body in collect_inline_bodies(
+            for _name, method, _params, body in collect_inline_bodies(
                     fm.masked, cls):
-                side = side_of(params, body)
-                if side is None:
-                    continue
-                (cls.save_bodies if side == "save"
-                 else cls.restore_bodies).append(body)
+                if method == "visit":
+                    cls.visit_bodies.append(body)
     return all_classes
 
 
-def _raw_side_bodies(files, cls_names):
-    """Unmasked save/restore bodies per class name (for key literals)."""
-    save, restore = {}, {}
-    for fm in files:
-        if src_dir_of(fm.posix) is None:
-            continue
-        for cls_name, _method, params, body in collect_method_bodies(
-                fm.masked):
-            if cls_name not in cls_names:
-                continue
-            side = side_of(params, body)
-            if side is None:
-                continue
-            # Re-extract the same span from the raw text: find the body
-            # by position.  Cheaper: regex the raw text once per class.
-            (save if side == "save" else restore).setdefault(
-                cls_name, []).append(body)
-    return save, restore
+def member_status(cls, name):
+    """'transient', 'covered' or 'MISSING' for one data member."""
+    if name in cls.transients:
+        return "transient"
+    if re.search(r"\b%s\b" % re.escape(name), "\n".join(cls.visit_bodies)):
+        return "covered"
+    return "MISSING"
 
 
 def check_snapshots(files):
-    """A2/A3/A4 over every snapshot-protocol class in src/."""
+    """A2/A4 over every class in src/."""
     findings = []
-    classes = build_class_registry(files)
-    for cls in classes:
+    for cls in build_class_registry(files):
         if src_dir_of(cls.rel_path.replace(os.sep, "/")) is None:
             continue
-        if not cls.save_bodies or not cls.restore_bodies:
-            continue
-        save_text = "\n".join(cls.save_bodies)
-        restore_text = "\n".join(cls.restore_bodies)
-
         member_names = {name for name, _t, _l in cls.members}
-        for name, _type_text, line in cls.members:
-            if name in cls.transients:
-                continue
-            in_save = re.search(r"\b%s\b" % re.escape(name), save_text)
-            in_restore = re.search(r"\b%s\b" % re.escape(name),
-                                   restore_text)
-            if in_save and in_restore:
-                continue
-            missing = ("save and restore sides"
-                       if not in_save and not in_restore
-                       else ("save side" if not in_save
-                             else "restore side"))
-            findings.append(
-                (cls.rel_path, line, "snapshot-coverage",
-                 "%s::%s is not referenced on the %s of the snapshot "
-                 "protocol; serialise it or annotate it "
-                 "'// dhl-analyze: transient(%s): <why>'"
-                 % (cls.name, name, missing, name)))
         for name, line in sorted(cls.transients.items()):
-            if name not in member_names:
+            if not cls.visit_bodies:
+                findings.append(
+                    (cls.rel_path, line, "snapshot-transient",
+                     "stale transient annotation: %s has no visit()"
+                     % cls.name))
+            elif name not in member_names:
                 findings.append(
                     (cls.rel_path, line, "snapshot-transient",
                      "stale transient annotation: %s::%s is not a "
                      "data member" % (cls.name, name)))
+        if not cls.visit_bodies:
+            continue
+        for name, _type_text, line in cls.members:
+            if member_status(cls, name) == "MISSING":
+                findings.append(
+                    (cls.rel_path, line, "snapshot-coverage",
+                     "%s::%s does not appear in %s::visit(); "
+                     "checkpoint it or annotate it "
+                     "'// dhl-analyze: transient(%s): <why>'"
+                     % (cls.name, name, cls.name, name)))
     return findings
 
 
-def check_snapshot_keys(files):
-    """A3: literal put keys == literal get/has keys, per class.  Key
-    literals live in string literals, which the masked text blanks, so
-    this pass re-walks the raw text using the masked text's method
-    spans."""
+def check_snapshot_io(files):
+    """A3: no direct put*/get* snapshot call outside sim/snapshot.*."""
     findings = []
-    # Build (class -> side -> raw bodies) by re-running the method scan
-    # on masked text but slicing bodies out of the *raw* text.
-    sides = {}
-    lines = {}
     for fm in files:
-        if src_dir_of(fm.posix) is None:
+        if (src_dir_of(fm.posix) is None or
+                fm.posix in SNAPSHOT_IO_ALLOWLIST):
             continue
-        for m in METHOD_DEF_RE.finditer(fm.masked):
-            params, body, found = _param_and_body(fm.masked, m.end() - 1)
-            if not found:
-                continue
-            side = side_of(params, body)
-            if side is None:
-                continue
-            # Locate the same body span in the raw text.
-            open_idx = fm.masked.find("{", m.end() - 1)
-            # _param_and_body already proved the brace exists and
-            # matches; recompute its span for the raw slice.
-            depth = 0
-            i = fm.masked.find("(", m.end() - 1)
-            while True:
-                if fm.masked[i] == "(":
-                    depth += 1
-                elif fm.masked[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            open_idx = fm.masked.find("{", i)
-            close = match_brace(fm.masked, open_idx)
-            raw_body = fm.text[open_idx + 1:close]
-            entry = sides.setdefault(m.group(1), {"save": set(),
-                                                  "restore": set()})
-            if side == "save":
-                entry["save"].update(PUT_KEY_RE.findall(raw_body))
-            else:
-                entry["restore"].update(GET_KEY_RE.findall(raw_body))
-            lines.setdefault(m.group(1), (fm.rel_path,
-                                          line_of(fm.masked, m.start())))
-    for cls_name, entry in sorted(sides.items()):
-        if not entry["save"] or not entry["restore"]:
-            continue
-        rel, line = lines[cls_name]
-        for key in sorted(entry["save"] - entry["restore"]):
+        for m in SNAPSHOT_IO_RE.finditer(fm.masked):
             findings.append(
-                (rel, line, "snapshot-keys",
-                 "%s writes snapshot key %r that its restore side never "
-                 "reads" % (cls_name, key)))
-        for key in sorted(entry["restore"] - entry["save"]):
+                (fm.rel_path, line_of(fm.masked, m.start()), "snapshot-io",
+                 "direct snapshot call %s); checkpointed state goes "
+                 "through visit() and the io/count/expect/each/seq "
+                 "vocabulary (sim/snapshot.hpp)" % m.group(0).rstrip()))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# R1-R4: single-file textual rules over src/.
+# ---------------------------------------------------------------------------
+
+# Files allowed to spell out powers of ten: they *define* the unit and
+# quantity helpers everything else must use.
+MAGNITUDE_ALLOWLIST = {"src/common/units.hpp", "src/common/quantity.hpp"}
+
+# ``* 1e9`` / ``/ 1e15`` with a positive magnitude exponent.  Negative
+# exponents (tolerances such as 1e-9) and bare scientific literals in
+# comparisons are not unit conversions and stay legal.
+MAGNITUDE_RE = re.compile(r"[*/]\s*1e(?:3|6|9|12|15)\b")
+
+IOSTREAM_RE = re.compile(r"\bstd::c(?:out|err)\b")
+
+# The logging implementation owns the default stderr sink.
+IOSTREAM_ALLOWLIST = {"src/common/logging.cpp"}
+
+# rand()/srand()/time() calls.  Word-boundary + open paren so that
+# identifiers like trip_time or travelTime( never match.
+NONDETERMINISM_RE = re.compile(r"(?<![\w.])(?:s?rand|time)\s*\(")
+
+GUARD_RE = re.compile(r"^#ifndef\s+(\S+)", re.MULTILINE)
+
+
+def strip_comments(text):
+    """Remove // and /* */ comments (string literals are left alone —
+    none of the R rules trigger inside the repo's strings)."""
+    text = re.sub(r"/\*.*?\*/", "", text, flags=re.DOTALL)
+    return re.sub(r"//[^\n]*", "", text)
+
+
+def expected_guard(rel_path):
+    """src/dhl/analytical.hpp -> DHL_DHL_ANALYTICAL_HPP (the leading
+    src/ is dropped, the dhl:: project prefix is added)."""
+    no_src = os.path.relpath(rel_path, "src")
+    stem = os.path.splitext(no_src)[0]
+    return "DHL_" + re.sub(r"[\\/.]", "_", stem).upper() + "_HPP"
+
+
+def lint_text(rel_path, text):
+    """R1-R4 findings for one file's contents; only src/ files get
+    the library-code rules."""
+    findings = []
+    posix = rel_path.replace(os.sep, "/")
+    if not posix.startswith("src/"):
+        return findings
+
+    code = strip_comments(text)
+
+    if posix not in MAGNITUDE_ALLOWLIST:
+        for m in MAGNITUDE_RE.finditer(code):
             findings.append(
-                (rel, line, "snapshot-keys",
-                 "%s reads snapshot key %r that its save side never "
-                 "writes" % (cls_name, key)))
+                (rel_path, line_of(code, m.start()), "magnitude-literals",
+                 "raw magnitude conversion %r; use a units::/qty:: helper"
+                 % m.group(0).strip()))
+
+    if posix not in IOSTREAM_ALLOWLIST:
+        for m in IOSTREAM_RE.finditer(code):
+            findings.append(
+                (rel_path, line_of(code, m.start()), "iostream-in-src",
+                 "%s in library code; use common/logging.hpp"
+                 % m.group(0)))
+
+    for m in NONDETERMINISM_RE.finditer(code):
+        findings.append(
+            (rel_path, line_of(code, m.start()), "nondeterminism",
+             "%s) breaks seed-reproducibility; use dhl::Rng"
+             % m.group(0).rstrip("(").strip()))
+
+    if posix.endswith(".hpp"):
+        g = GUARD_RE.search(code)
+        want = expected_guard(rel_path)
+        if g is None:
+            findings.append((rel_path, 1, "include-guards",
+                             "missing include guard (expected %s)" % want))
+        elif g.group(1) != want:
+            findings.append(
+                (rel_path, line_of(code, g.start()), "include-guards",
+                 "guard %s should be %s" % (g.group(1), want)))
     return findings
 
 
@@ -902,8 +913,10 @@ def analyze_files(files):
     findings = []
     findings.extend(check_layers(files))
     findings.extend(check_snapshots(files))
-    findings.extend(check_snapshot_keys(files))
+    findings.extend(check_snapshot_io(files))
     findings.extend(check_hazards(files))
+    for fm in files:
+        findings.extend(lint_text(fm.rel_path, fm.text))
     findings.sort(key=lambda f: (f[0], f[1], f[2]))
     return findings
 
@@ -986,10 +999,12 @@ def _rules(findings):
 
 SNAPSHOT_OK_FIXTURE = {
     "src/sim/gadget.hpp": """\
+#ifndef DHL_SIM_GADGET_HPP
+#define DHL_SIM_GADGET_HPP
 class Gadget {
   public:
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
   private:
     double position_;
     std::uint64_t trips_ = 0;
@@ -997,41 +1012,41 @@ class Gadget {
     std::vector<double> scratch_;
     Helper *helper_ = nullptr;
 };
+#endif
 """,
     "src/sim/gadget.cpp": """\
-void Gadget::saveState(sim::SnapshotWriter &w) const {
-    w.putDouble("position", position_);
-    w.putU64("trips", trips_);
-}
-void Gadget::restoreState(sim::SnapshotReader &r) {
-    position_ = r.getDouble("position");
-    trips_ = r.getU64("trips");
+template <class Self, class Ar>
+void Gadget::visit(Self &self, Ar &ar) {
+    ar.io("position", self.position_);
+    ar.io("trips", self.trips_);
 }
 """,
 }
 
 SNAPSHOT_BAD_FIXTURE = {
     "src/sim/gadget.hpp": """\
+#ifndef DHL_SIM_GADGET_HPP
+#define DHL_SIM_GADGET_HPP
 class Gadget {
   public:
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar);
   private:
     double position_;
     std::uint64_t trips_ = 0;
     double forgotten_field_;
     // dhl-analyze: transient(ghost_): annotation without a member
 };
+#endif
 """,
     "src/sim/gadget.cpp": """\
-void Gadget::saveState(sim::SnapshotWriter &w) const {
-    w.putDouble("position", position_);
-    w.putU64("trips", trips_);
-    w.putU64("write_only", trips_);
+template <class Self, class Ar>
+void Gadget::visit(Self &self, Ar &ar) {
+    ar.io("position", self.position_);
+    ar.io("trips", self.trips_);
 }
-void Gadget::restoreState(sim::SnapshotReader &r) {
-    position_ = r.getDouble("position");
-    trips_ = r.getU64("trips");
+void dumpTrips(const Gadget &g, sim::SnapshotWriter &w) {
+    w.putU64("trips", g.trips());
 }
 """,
 }
@@ -1041,16 +1056,16 @@ HAZARD_OK_FIXTURE = {
 #include "common/random.hpp"
 struct Widget {
     std::unordered_map<std::uint32_t, double> wear_;
-    void snapshotSorted(sim::SnapshotWriter &w) const;
+    void snapshotSorted(sim::SnapshotWriter &ar) const;
     double total() const;
 };
-void Widget::snapshotSorted(sim::SnapshotWriter &w) const {
+void Widget::snapshotSorted(sim::SnapshotWriter &ar) const {
     std::vector<std::uint32_t> ids;
     for (const auto &[id, v] : wear_)
         ids.push_back(id);
     std::sort(ids.begin(), ids.end());
     for (std::uint32_t id : ids)
-        w.putDouble("wear", wear_.at(id));
+        ar.io("wear", wear_.at(id));
 }
 double makeStream(std::uint64_t base) {
     Rng rng(deriveSeed(base, 7));
@@ -1194,106 +1209,58 @@ def self_test():
         _write_tree(os.path.join(tmp, "snap_bad"), SNAPSHOT_BAD_FIXTURE)
         f = analyze_tree(os.path.join(tmp, "snap_bad"))
         check("snapshot bad fires",
-              _rules(f) == ["snapshot-coverage", "snapshot-keys",
+              _rules(f) == ["snapshot-coverage", "snapshot-io",
                             "snapshot-transient"])
-        check("snapshot bad member",
+        check("snapshot bad member missing from visit",
               any("forgotten_field_" in m for _p, _l, _r, m in f))
-        check("snapshot bad key",
-              any("write_only" in m for _p, _l, _r, m in f))
+        check("snapshot bad direct put",
+              any(r == "snapshot-io" and "putU64" in m
+                  for _p, _l, r, m in f))
         check("snapshot bad stale",
               any("ghost_" in m for _p, _l, _r, m in f))
 
-        # A2: a member restored but never saved is one-sided.
-        _write_tree(os.path.join(tmp, "snap_oneside"), {
-            "src/sim/g.hpp": SNAPSHOT_OK_FIXTURE["src/sim/gadget.hpp"],
-            "src/sim/g.cpp": """\
-void Gadget::saveState(sim::SnapshotWriter &w) const {
-    w.putDouble("position", position_);
-}
-void Gadget::restoreState(sim::SnapshotReader &r) {
-    position_ = r.getDouble("position");
-    trips_ = r.getU64("trips");
-}
-""",
-        })
-        f = analyze_tree(os.path.join(tmp, "snap_oneside"))
-        check("snapshot one-sided member",
-              any(r == "snapshot-coverage" and "save side" in m
-                  for _p, _l, r, m in f))
-        check("snapshot one-sided key",
-              any(r == "snapshot-keys" and "trips" in m
-                  for _p, _l, r, m in f))
-
-        # A2: checkpoint/restore via *constructed* writer/reader (the
-        # ServingSim shape) is detected too.
-        _write_tree(os.path.join(tmp, "snap_ctor"), {
-            "src/serve/m.hpp": """\
-class Mini {
+        # A2 on an in-class visit (the SloAccumulator shape), and A4 on
+        # an annotation left in a class that no longer has a visit().
+        _write_tree(os.path.join(tmp, "snap_inline"), {
+            "src/common/acc.hpp": """\
+#ifndef DHL_COMMON_ACC_HPP
+#define DHL_COMMON_ACC_HPP
+class Acc {
   public:
-    void checkpoint(std::ostream &os) const;
-    void restore(std::istream &is);
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar) {
+        ar.io("count", self.count_);
+    }
   private:
-    std::uint64_t epochs_ = 0;
-    double hidden_;
+    std::uint64_t count_ = 0;
+    double hidden_ = 0.0;
 };
-""",
-            "src/serve/m.cpp": """\
-void Mini::checkpoint(std::ostream &os) const {
-    sim::SnapshotWriter w(os);
-    w.putU64("epochs", epochs_);
-}
-void Mini::restore(std::istream &is) {
-    sim::SnapshotReader r(is);
-    epochs_ = r.getU64("epochs");
-}
+class Plain {
+    // dhl-analyze: transient(cfg_): left over from a removed save/restore
+    int cfg_;
+};
+#endif
 """,
         })
-        f = analyze_tree(os.path.join(tmp, "snap_ctor"))
-        check("snapshot ctor-detected",
-              any(r == "snapshot-coverage" and "hidden_" in m
+        f = analyze_tree(os.path.join(tmp, "snap_inline"))
+        check("snapshot inline visit member",
+              [m for _p, _l, r, m in f if r == "snapshot-coverage"]
+              and all("hidden_" in m for _p, _l, r, m in f
+                      if r == "snapshot-coverage"))
+        check("snapshot annotation without visit",
+              any(r == "snapshot-transient" and "Plain" in m
                   for _p, _l, r, m in f))
 
-        # A3 covers packed vectors: a putDoubles key nobody reads is
-        # reported, and a matched putDoubles/getDoubles pair is clean.
-        packed_hpp = """\
-class Packed {
-  public:
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
-  private:
-    std::vector<double> samples_;
-};
-"""
-        _write_tree(os.path.join(tmp, "snap_packed_bad"), {
-            "src/sim/p.hpp": packed_hpp,
-            "src/sim/p.cpp": """\
-void Packed::saveState(sim::SnapshotWriter &w) const {
-    w.putDoubles("samples", samples_);
-    w.putDoubles("x", samples_);
-}
-void Packed::restoreState(sim::SnapshotReader &r) {
-    samples_ = r.getDoubles("samples");
-}
-""",
+        # A3 allowlist: the snapshot module and the Properties/ArgParser
+        # getters are not snapshot calls.
+        _write_tree(os.path.join(tmp, "snap_io_allow"), {
+            "src/sim/snapshot.cpp": "void f() { putU64(k, 1); }\n",
+            "src/dhl/config_io.cpp":
+                "double x = props.getDouble(\"speed\", 1.0);\n",
+            "tools/cli.cpp": "double s = args.getDouble(\"seconds\");\n",
         })
-        f = analyze_tree(os.path.join(tmp, "snap_packed_bad"))
-        check("snapshot packed write-only key",
-              [(r, "'x'" in m) for _p, _l, r, m in f]
-              == [("snapshot-keys", True)])
-
-        _write_tree(os.path.join(tmp, "snap_packed_ok"), {
-            "src/sim/p.hpp": packed_hpp,
-            "src/sim/p.cpp": """\
-void Packed::saveState(sim::SnapshotWriter &w) const {
-    w.putDoubles("samples", samples_);
-}
-void Packed::restoreState(sim::SnapshotReader &r) {
-    samples_ = r.getDoubles("samples");
-}
-""",
-        })
-        f = analyze_tree(os.path.join(tmp, "snap_packed_ok"))
-        check("snapshot packed pair clean", f == [])
+        f = analyze_tree(os.path.join(tmp, "snap_io_allow"))
+        check("snapshot-io allowlist", f == [])
 
         # A5/A6/A7 hazards.
         _write_tree(os.path.join(tmp, "haz_ok"), HAZARD_OK_FIXTURE)
@@ -1321,9 +1288,9 @@ void Packed::restoreState(sim::SnapshotReader &r) {
         _write_tree(os.path.join(tmp, "haz_iter"), {
             "src/faults/f.cpp": """\
 struct F { std::unordered_map<int, double> ends_; };
-void dump(F &f, sim::SnapshotWriter &w) {
+void dump(F &f, sim::SnapshotWriter &ar) {
     for (auto it = f.ends_.begin(); it != f.ends_.end(); ++it) {
-        w.putDouble("end", it->second);
+        ar.io("end", it->second);
     }
 }
 """,
@@ -1335,7 +1302,8 @@ void dump(F &f, sim::SnapshotWriter &w) {
         # A6 stays quiet on derived seeds and on the front-end.
         _write_tree(os.path.join(tmp, "haz_front"), {
             "bench/b.cpp": "Rng rng(42);\n",
-            "src/common/random.hpp": "explicit Rng(std::uint64_t seed"
+            "src/common/random.hpp": "#ifndef DHL_COMMON_RANDOM_HPP\n"
+                                     "explicit Rng(std::uint64_t seed"
                                      " = 0x9e3779b97f4a7c15ull);\n",
         })
         f = analyze_tree(os.path.join(tmp, "haz_front"))
@@ -1347,6 +1315,67 @@ void dump(F &f, sim::SnapshotWriter &w) {
         check("dot digraph", dot.startswith("digraph"))
         check("dot red edge", "color=red" in dot)
         check("dot rank", "rank=same" in dot)
+
+    # ---- R1-R4 single-file textual rules -----------------------------
+    def rules_of(rel, text):
+        return {f[2] for f in lint_text(rel, text)}
+
+    hdr = "#ifndef DHL_FOO_BAR_HPP\n#define DHL_FOO_BAR_HPP\n#endif\n"
+    cpp = os.path.join("src", "foo", "bar.cpp")
+    hpp = os.path.join("src", "foo", "bar.hpp")
+
+    # R1 fires on magnitude conversions, in either direction.
+    check("R1 multiply",
+          "magnitude-literals" in rules_of(cpp, "double x = b * 1e9;\n"))
+    check("R1 divide",
+          "magnitude-literals" in rules_of(cpp, "double x = j / 1e6;\n"))
+    # ...but not on tolerances, comments, or the allow-listed files.
+    check("R1 tolerance",
+          not rules_of(cpp, "bool ok = err < 1e-9 * 1e-12;\n"))
+    check("R1 comment",
+          not rules_of(cpp, "// historical: bytes * 1e9\nint x;\n"))
+    check("R1 allowlist",
+          "magnitude-literals" not in rules_of(
+              os.path.join("src", "common", "units.hpp"),
+              "constexpr double giga(double n) { return n * 1e9; }\n"))
+    check("R1 bare literal",
+          not rules_of(cpp, "double cap = 8e12; if (cap > 1e9) cap = 0;\n"))
+
+    # R2 fires only under src/.
+    check("R2 cout", "iostream-in-src" in rules_of(cpp, "std::cout << 1;\n"))
+    check("R2 cerr", "iostream-in-src" in rules_of(cpp, "std::cerr << 1;\n"))
+    check("R2 bench exempt",
+          not lint_text(os.path.join("bench", "x.cpp"), "std::cout << 1;\n"))
+    check("R2 logging sink exempt",
+          "iostream-in-src" not in rules_of(
+              os.path.join("src", "common", "logging.cpp"),
+              "std::cerr << tag;\n"))
+
+    # R3 fires on the C randomness/time calls, not on lookalikes.
+    check("R3 rand", "nondeterminism" in rules_of(cpp, "int r = rand();\n"))
+    check("R3 srand", "nondeterminism" in rules_of(cpp, "srand(42);\n"))
+    check("R3 time", "nondeterminism" in rules_of(cpp, "time(nullptr);\n"))
+    check("R3 travelTime",
+          not rules_of(cpp, "double t = travelTime(1, 2, 3, m);\n"))
+    check("R3 trip_time", not rules_of(cpp, "double t = trip_time(0);\n"))
+    check("R3 member", not rules_of(cpp, "double t = sim.time();\n"))
+
+    # R4 guard naming.
+    check("R4 good", "include-guards" not in rules_of(hpp, hdr))
+    check("R4 wrong name",
+          "include-guards" in rules_of(
+              hpp, "#ifndef BAR_HPP\n#define BAR_HPP\n#endif\n"))
+    check("R4 missing", "include-guards" in rules_of(hpp, "int x;\n"))
+    check("R4 expected name",
+          expected_guard(hpp) == "DHL_FOO_BAR_HPP")
+
+    # Layering and threading are whole-program rules (A1, A8), not
+    # textual ones.
+    check("no layering rule in R1-R4",
+          not rules_of(os.path.join("src", "ops", "dispatcher.cpp"),
+                       '#include "bench/bench_util.hpp"\n'))
+    check("no threading rule in R1-R4",
+          not rules_of(cpp, "std::thread t(run);\n"))
 
     # ---- the production tree, if we are inside the repo --------------
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1369,23 +1398,13 @@ void dump(F &f, sim::SnapshotWriter &w) {
 # ---------------------------------------------------------------------------
 
 def dump_model(files):
-    classes = build_class_registry(files)
-    for cls in classes:
-        if not cls.save_bodies or not cls.restore_bodies:
+    for cls in build_class_registry(files):
+        if not cls.visit_bodies:
             continue
         print("%s (%s:%d)" % (cls.name, cls.rel_path, cls.line))
-        save_text = "\n".join(cls.save_bodies)
-        restore_text = "\n".join(cls.restore_bodies)
-        for name, type_text, line in cls.members:
-            tag = "covered"
-            if name in cls.transients:
-                tag = "transient"
-            elif not re.search(r"\b%s\b" % re.escape(name), save_text):
-                tag = "MISSING(save)"
-            elif not re.search(r"\b%s\b" % re.escape(name),
-                               restore_text):
-                tag = "MISSING(restore)"
-            print("  %-28s %-16s %s" % (name, tag, type_text[:60]))
+        for name, type_text, _line in cls.members:
+            print("  %-28s %-16s %s"
+                  % (name, member_status(cls, name), type_text[:60]))
 
 
 def main(argv=None):
