@@ -5,8 +5,8 @@
 
 #include "dhl/fleet.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <functional>
+#include <memory>
 
 #include "common/logging.hpp"
 
@@ -84,6 +84,13 @@ DhlFleet::faultState(std::size_t i)
     return fault_states_.empty() ? nullptr : fault_states_[i].get();
 }
 
+const faults::FaultState *
+DhlFleet::faultState(std::size_t i) const
+{
+    fatal_if(i >= controllers_.size(), "track index out of range");
+    return fault_states_.empty() ? nullptr : fault_states_[i].get();
+}
+
 faults::FaultInjector *
 DhlFleet::faultInjector(std::size_t i)
 {
@@ -91,51 +98,49 @@ DhlFleet::faultInjector(std::size_t i)
     return injectors_.empty() ? nullptr : injectors_[i].get();
 }
 
-double
-DhlFleet::totalEnergy() const
+BulkTotals
+DhlFleet::totals() const
 {
-    double total = 0.0;
-    for (const auto &c : controllers_)
-        total += c->totalEnergy();
-    return total;
-}
-
-std::uint64_t
-DhlFleet::launches() const
-{
-    std::uint64_t total = 0;
-    for (const auto &c : controllers_)
-        total += c->launches();
-    return total;
+    BulkTotals t{sim_.now(), 0.0, 0, 0};
+    for (const auto &c : controllers_) {
+        t.energy += c->totalEnergy();
+        t.launches += c->launches();
+        t.ssd_failures += c->ssdFailures();
+    }
+    return t;
 }
 
 BulkRunResult
-DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts)
+DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts,
+                          const std::vector<RequestMeta> &meta,
+                          std::vector<double> *open_latency)
 {
     fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
     if (opts.faults.enabled)
         enableFaults(opts.faults);
 
-    const double capacity = cfg_.cartCapacity().value();
-    const auto n_carts =
-        static_cast<std::uint64_t>(std::ceil(bytes / capacity));
+    const std::vector<double> loads =
+        cartLoads(bytes, cfg_.cartCapacity().value());
+    const std::uint64_t n_carts = loads.size();
     const std::size_t k = controllers_.size();
 
     // Round-robin cart assignment; each track gets its own serial
-    // chain of cart ids (local to that track's library).
-    std::vector<std::vector<CartId>> per_track(k);
-    double remaining = bytes;
-    for (std::uint64_t i = 0; i < n_carts; ++i) {
-        const double load = std::min(capacity, remaining);
-        remaining -= load;
+    // chain of carts (ids local to that track's library).
+    struct ChainCart
+    {
+        CartId id;
+        RequestMeta meta;
+    };
+    std::vector<std::vector<ChainCart>> per_track(k);
+    for (std::size_t i = 0; i < loads.size(); ++i) {
         auto &ctl = *controllers_[i % k];
         ctl.setFailureProbability(opts.failure_per_trip);
-        per_track[i % k].push_back(ctl.addCart(load).id());
+        per_track[i % k].push_back(
+            {ctl.addCart(loads[i]).id(),
+             i < meta.size() ? meta[i] : RequestMeta{}});
     }
 
-    const double start = sim_.now();
-    const double energy_before = totalEnergy();
-    const std::uint64_t launches_before = launches();
+    const BulkTotals before = totals();
     auto completed = std::make_shared<std::uint64_t>(0);
     auto bytes_read = std::make_shared<double>(0.0);
 
@@ -153,12 +158,17 @@ DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts)
         auto *chain_ptr = chain.get();
         const auto carts = per_track[t];
         *chain = [this, &ctl, carts, chain = chain_ptr, opts, completed,
-                  bytes_read](std::size_t idx) {
+                  bytes_read, open_latency](std::size_t idx) {
             if (idx == carts.size())
                 return;
-            const CartId id = carts[idx];
-            ctl.open(id, [this, &ctl, id, idx, chain, opts, completed,
-                          bytes_read](Cart &cart, DockingStation &) {
+            const CartId id = carts[idx].id;
+            const double issued = sim_.now();
+            ctl.open(id, carts[idx].meta,
+                     [this, &ctl, id, idx, issued, chain, opts, completed,
+                      bytes_read, open_latency](Cart &cart,
+                                                DockingStation &) {
+                if (open_latency != nullptr)
+                    open_latency->push_back(sim_.now() - issued);
                 auto finish = [completed, chain, idx](Cart &) {
                     ++*completed;
                     (*chain)(idx + 1);
@@ -177,30 +187,11 @@ DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts)
         };
         (*chain)(0);
     }
-    // With fault injectors active the queue never runs dry on its own;
-    // step to transfer completion instead (see DhlSimulation).
-    if (faultsEnabled()) {
-        while (*completed < n_carts && sim_.pendingEvents() > 0)
-            sim_.step();
-    } else {
-        sim_.run();
-    }
+    while (*completed < n_carts && sim_.pendingEvents() > 0)
+        sim_.step();
     panic_if(*completed != n_carts,
              "fleet transfer finished with carts unaccounted for");
-
-    BulkRunResult r{};
-    r.total_time = sim_.now() - start;
-    r.total_energy = totalEnergy() - energy_before;
-    r.launches = launches() - launches_before;
-    r.carts = n_carts;
-    std::uint64_t failures = 0;
-    for (const auto &c : controllers_)
-        failures += c->ssdFailures();
-    r.ssd_failures = failures;
-    r.avg_power = r.total_energy / r.total_time;
-    r.effective_bandwidth = bytes / r.total_time;
-    r.bytes_read = *bytes_read;
-    return r;
+    return bulkRunResult(bytes, n_carts, before, totals(), *bytes_read);
 }
 
 } // namespace core

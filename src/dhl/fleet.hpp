@@ -7,9 +7,11 @@
  * The fleet owns K identical, independent DHL systems (each with its
  * own library, tube and docking stations) sharing one simulation
  * clock; bulk transfers split their carts round-robin across the
- * tracks and the fleet finishes when the slowest track does.  The
- * event-driven result must agree with the quantised closed form used
- * by mlsim's DhlComm (ceil(trips/K) round trips per track) — tested.
+ * tracks and the fleet finishes when the slowest track does.  This is
+ * the paper's bulk-transfer model and the ops layer's RoundRobin
+ * dispatch policy.  The event-driven result must agree with the
+ * quantised closed form used by mlsim's DhlComm (ceil(trips/K) round
+ * trips per track) — tested.
  */
 
 #ifndef DHL_DHL_FLEET_HPP
@@ -46,13 +48,20 @@ class DhlFleet
     DhlController &track(std::size_t i);
 
     /**
-     * Move @p bytes using every track: carts are split round-robin and
+     * Move @p bytes using every track: cart j goes to track j % K and
      * each track runs its share as serial round trips (open, optional
-     * read, close).  Returns the fleet-level metrics; `total_time` is
-     * the slowest track's completion.
+     * read, close).  @p meta optionally gives cart j's scheduling
+     * metadata (missing entries default); @p open_latency, when set,
+     * receives each open's issue -> docked latency, s.  Steps the
+     * simulation until every cart has completed, so processes that
+     * keep the event queue populated (fault injectors, maintenance,
+     * plant outages) do not stall the run.  Returns the fleet-level
+     * metrics; `total_time` is the slowest track's completion.
      */
     BulkRunResult runBulkTransfer(double bytes,
-                                  const BulkRunOptions &opts = {});
+                                  const BulkRunOptions &opts = {},
+                                  const std::vector<RequestMeta> &meta = {},
+                                  std::vector<double> *open_latency = nullptr);
 
     /**
      * Turn on per-track fault injection: every track gets its own
@@ -79,22 +88,14 @@ class DhlFleet
     /** Track @p i's fault registry (nullptr until enableFaults or
      *  ensureFaultStates). */
     faults::FaultState *faultState(std::size_t i);
+    const faults::FaultState *faultState(std::size_t i) const;
 
     /** Track @p i's fault injector (nullptr until enableFaults). */
     faults::FaultInjector *faultInjector(std::size_t i);
 
-    /** Sum of LIM energy across tracks, J. */
-    double totalEnergy() const;
-
-    /** Sum of launches across tracks. */
-    std::uint64_t launches() const;
-
-    /** Average electrical power of the fleet over a window, W. */
-    double
-    avgPower(double window) const
-    {
-        return totalEnergy() / window;
-    }
+    /** Sums over the tracks of the counters a bulk run reports as
+     *  deltas (LIM energy, launches, SSD failures), and the clock. */
+    BulkTotals totals() const;
 
   private:
     DhlConfig cfg_;

@@ -14,6 +14,39 @@
 namespace dhl {
 namespace core {
 
+std::vector<double>
+cartLoads(double bytes, double capacity)
+{
+    const auto n_carts =
+        static_cast<std::size_t>(std::ceil(bytes / capacity));
+    std::vector<double> loads;
+    loads.reserve(n_carts);
+    double remaining = bytes;
+    for (std::size_t i = 0; i < n_carts; ++i) {
+        const double load = std::min(capacity, remaining);
+        loads.push_back(load);
+        remaining -= load;
+    }
+    return loads;
+}
+
+BulkRunResult
+bulkRunResult(double bytes, std::uint64_t carts, const BulkTotals &before,
+              const BulkTotals &after, double bytes_read,
+              double extra_energy)
+{
+    BulkRunResult r{};
+    r.total_time = after.time - before.time;
+    r.total_energy = after.energy - before.energy + extra_energy;
+    r.launches = after.launches - before.launches;
+    r.carts = carts;
+    r.ssd_failures = after.ssd_failures - before.ssd_failures;
+    r.avg_power = r.total_energy / r.total_time;
+    r.effective_bandwidth = bytes / r.total_time;
+    r.bytes_read = bytes_read;
+    return r;
+}
+
 DhlSimulation::DhlSimulation(const DhlConfig &cfg, std::uint64_t seed)
     : cfg_(cfg), trace_(sim_)
 {
@@ -51,25 +84,18 @@ DhlSimulation::runBulkTransfer(double bytes, const BulkRunOptions &opts)
     if (opts.faults.enabled)
         enableFaults(opts.faults);
 
-    const double capacity = cfg_.cartCapacity().value();
-    const auto n_carts =
-        static_cast<std::uint64_t>(std::ceil(bytes / capacity));
+    const std::vector<double> loads =
+        cartLoads(bytes, cfg_.cartCapacity().value());
+    const std::uint64_t n_carts = loads.size();
     fatal_if(n_carts > cfg_.library_slots,
              "dataset needs more carts than the library has slots; "
              "increase library_slots");
 
-    // Preload the dataset across the carts (last one partial).
-    double remaining = bytes;
-    for (std::uint64_t i = 0; i < n_carts; ++i) {
-        const double load = std::min(capacity, remaining);
+    // Preload the dataset across the carts.
+    for (double load : loads)
         controller_->addCart(load);
-        remaining -= load;
-    }
 
-    const double start = sim_.now();
-    const double energy_before = controller_->totalEnergy();
-    const std::uint64_t launches_before = controller_->launches();
-    const std::uint64_t failures_before = controller_->ssdFailures();
+    const BulkTotals before = totals();
     auto completed = std::make_shared<std::uint64_t>(0);
     auto bytes_read = std::make_shared<double>(0.0);
 
@@ -124,16 +150,14 @@ DhlSimulation::runBulkTransfer(double bytes, const BulkRunOptions &opts)
     panic_if(*completed != n_carts,
              "bulk transfer finished with carts unaccounted for");
 
-    BulkRunResult r{};
-    r.total_time = sim_.now() - start;
-    r.total_energy = controller_->totalEnergy() - energy_before;
-    r.launches = controller_->launches() - launches_before;
-    r.carts = n_carts;
-    r.ssd_failures = controller_->ssdFailures() - failures_before;
-    r.avg_power = r.total_energy / r.total_time;
-    r.effective_bandwidth = bytes / r.total_time;
-    r.bytes_read = *bytes_read;
-    return r;
+    return bulkRunResult(bytes, n_carts, before, totals(), *bytes_read);
+}
+
+BulkTotals
+DhlSimulation::totals() const
+{
+    return BulkTotals{sim_.now(), controller_->totalEnergy(),
+                      controller_->launches(), controller_->ssdFailures()};
 }
 
 void

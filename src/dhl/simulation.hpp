@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <vector>
 
 #include "dhl/analytical.hpp"
 #include "dhl/config.hpp"
@@ -55,6 +56,28 @@ struct BulkRunResult
     double effective_bandwidth; ///< bytes/s.
     double bytes_read;          ///< bytes actually read at the rack.
 };
+
+/** The cumulative counters a bulk run reports as per-run deltas. */
+struct BulkTotals
+{
+    double time;                ///< simulated clock, s.
+    double energy;              ///< J (LIM shots).
+    std::uint64_t launches;     ///< one-way launches.
+    std::uint64_t ssd_failures; ///< failures injected en route.
+};
+
+/** @p bytes split into cart loads of @p capacity, the last one partial. */
+std::vector<double> cartLoads(double bytes, double capacity);
+
+/**
+ * The result of a run that moved @p bytes in @p carts carts, from the
+ * totals sampled before and after it.  @p extra_energy is energy spent
+ * off the tracks (the TE optical substrate).
+ */
+BulkRunResult bulkRunResult(double bytes, std::uint64_t carts,
+                            const BulkTotals &before,
+                            const BulkTotals &after, double bytes_read,
+                            double extra_energy = 0.0);
 
 /** A complete simulated DHL system. */
 class DhlSimulation
@@ -102,6 +125,8 @@ class DhlSimulation
     void dumpStats(std::ostream &os);
 
   private:
+    BulkTotals totals() const;
+
     DhlConfig cfg_;
     sim::Simulator sim_;
     sim::TraceRecorder trace_;

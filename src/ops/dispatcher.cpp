@@ -5,10 +5,8 @@
 
 #include "ops/dispatcher.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <functional>
 #include <memory>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "dhl/analytical.hpp"
@@ -61,6 +59,17 @@ validate(const DispatchConfig &cfg)
     }
 }
 
+te::TeConfig
+teConfigForFleet(te::TeConfig te, const core::DhlConfig &dhl,
+                 std::size_t tracks)
+{
+    if (te.dhl_capacity == 0.0)
+        te.dhl_capacity =
+            static_cast<double>(tracks) *
+            core::AnalyticalModel(dhl).launch().bandwidth.value();
+    return te;
+}
+
 FleetDispatcher::FleetDispatcher(core::DhlFleet &fleet,
                                  const DispatchConfig &cfg)
     : fleet_(fleet), cfg_(cfg)
@@ -73,158 +82,28 @@ FleetDispatcher::FleetDispatcher(core::DhlFleet &fleet,
     }
 }
 
-std::vector<FleetDispatcher::Job>
-FleetDispatcher::makeJobs(double bytes,
-                          const std::vector<core::RequestMeta> &meta,
-                          std::uint64_t *n_carts) const
-{
-    const double capacity = fleet_.track(0).config().cartCapacity().value();
-    *n_carts = static_cast<std::uint64_t>(std::ceil(bytes / capacity));
-    std::vector<Job> jobs;
-    jobs.reserve(*n_carts);
-    double remaining = bytes;
-    for (std::uint64_t i = 0; i < *n_carts; ++i) {
-        const double load = std::min(capacity, remaining);
-        remaining -= load;
-        jobs.push_back(Job{load,
-                           i < meta.size() ? meta[i]
-                                           : core::RequestMeta{},
-                           static_cast<std::size_t>(i)});
-    }
-    return jobs;
-}
-
 core::BulkRunResult
 FleetDispatcher::runBulkTransfer(double bytes,
                                  const core::BulkRunOptions &opts,
                                  const std::vector<core::RequestMeta> &meta)
 {
-    fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
-    if (opts.faults.enabled)
-        fleet_.enableFaults(opts.faults);
     metrics_ = DispatchMetrics{};
-
-    std::uint64_t n_carts = 0;
-    std::vector<Job> jobs = makeJobs(bytes, meta, &n_carts);
     if (cfg_.policy == DispatchPolicy::RoundRobin)
-        return runRoundRobin(bytes, opts, std::move(jobs));
-    return runPull(bytes, opts, std::move(jobs));
+        return fleet_.runBulkTransfer(bytes, opts, meta,
+                                      &metrics_.open_latency);
+    return runPull(bytes, opts, meta);
 }
 
 //===========================================================================
-// RoundRobin: DhlFleet::runBulkTransfer, event for event
-//===========================================================================
-
-core::BulkRunResult
-FleetDispatcher::runRoundRobin(double bytes,
-                               const core::BulkRunOptions &opts,
-                               std::vector<Job> jobs)
-{
-    // Mirrors DhlFleet::runBulkTransfer exactly — same cart creation
-    // order, same serial chains, same run/step loop — so the policy is
-    // byte-identical to the fleet's native path (tested).  The only
-    // additions are pure bookkeeping (latency samples).
-    sim::Simulator &sim = fleet_.simulator();
-    const std::size_t k = fleet_.numTracks();
-    const std::uint64_t n_carts = jobs.size();
-
-    std::vector<std::vector<std::pair<core::CartId, std::size_t>>>
-        per_track(k);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        auto &ctl = fleet_.track(i % k);
-        ctl.setFailureProbability(opts.failure_per_trip);
-        per_track[i % k].emplace_back(ctl.addCart(jobs[i].load).id(), i);
-    }
-
-    const double start = sim.now();
-    const double energy_before = fleet_.totalEnergy();
-    const std::uint64_t launches_before = fleet_.launches();
-    auto completed = std::make_shared<std::uint64_t>(0);
-    auto bytes_read = std::make_shared<double>(0.0);
-
-    std::vector<std::shared_ptr<std::function<void(std::size_t)>>> chains;
-    for (std::size_t t = 0; t < k; ++t) {
-        if (per_track[t].empty())
-            continue;
-        auto &ctl = fleet_.track(t);
-        auto chain = std::make_shared<std::function<void(std::size_t)>>();
-        chains.push_back(chain);
-        auto *chain_ptr = chain.get();
-        const auto carts = per_track[t];
-        *chain = [this, &sim, &ctl, carts, chain = chain_ptr, opts,
-                  completed, bytes_read](std::size_t idx) {
-            if (idx == carts.size())
-                return;
-            const core::CartId id = carts[idx].first;
-            const core::RequestMeta job_meta = jobs_[carts[idx].second].meta;
-            const double issued = sim.now();
-            ctl.open(id, job_meta,
-                     [this, &sim, &ctl, id, idx, issued, chain, opts,
-                      completed, bytes_read](core::Cart &cart,
-                                             core::DockingStation &) {
-                metrics_.open_latency.push_back(sim.now() - issued);
-                auto finish = [completed, chain, idx](core::Cart &) {
-                    ++*completed;
-                    (*chain)(idx + 1);
-                };
-                if (opts.include_read_time && cart.storedBytes() > 0.0) {
-                    const double to_read = cart.storedBytes();
-                    ctl.read(id, to_read,
-                             [&ctl, id, bytes_read, finish](double b) {
-                                 *bytes_read += b;
-                                 ctl.close(id, finish);
-                             });
-                } else {
-                    ctl.close(id, finish);
-                }
-            });
-        };
-    }
-    // jobs_ backs the chains' meta lookups for the duration of the run.
-    jobs_ = std::move(jobs);
-    for (auto &chain : chains)
-        (*chain)(0);
-
-    while (*completed < n_carts && sim.pendingEvents() > 0)
-        sim.step();
-    panic_if(*completed != n_carts,
-             "fleet transfer finished with carts unaccounted for");
-
-    core::BulkRunResult r{};
-    r.total_time = sim.now() - start;
-    r.total_energy = fleet_.totalEnergy() - energy_before;
-    r.launches = fleet_.launches() - launches_before;
-    r.carts = n_carts;
-    std::uint64_t failures = 0;
-    for (std::size_t t = 0; t < k; ++t)
-        failures += fleet_.track(t).ssdFailures();
-    r.ssd_failures = failures;
-    r.avg_power = r.total_energy / r.total_time;
-    r.effective_bandwidth = bytes / r.total_time;
-    r.bytes_read = *bytes_read;
-    return r;
-}
-
-//===========================================================================
-// LeastQueued / AvailabilityAware: the pull engine
+// LeastQueued / AvailabilityAware / Te: the pull engine
 //===========================================================================
 
 bool
 FleetDispatcher::trackUp(std::size_t t) const
 {
-    const auto *state =
-        const_cast<core::DhlFleet &>(fleet_).faultState(t);
+    const faults::FaultState *state =
+        std::as_const(fleet_).faultState(t);
     return state == nullptr || state->serviceUp();
-}
-
-bool
-FleetDispatcher::anyTrackDown() const
-{
-    for (std::size_t t = 0; t < fleet_.numTracks(); ++t) {
-        if (!trackUp(t))
-            return true;
-    }
-    return false;
 }
 
 std::size_t
@@ -286,16 +165,8 @@ FleetDispatcher::drainTrack(std::size_t t)
 void
 FleetDispatcher::setupTe()
 {
-    te::TeConfig tc = cfg_.te;
-    if (tc.dhl_capacity == 0.0) {
-        // Aggregate launch bandwidth of the fleet, the same derivation
-        // the serving loop uses for its default.
-        tc.dhl_capacity =
-            static_cast<double>(fleet_.numTracks()) *
-            core::AnalyticalModel(fleet_.track(0).config())
-                .launch()
-                .bandwidth.value();
-    }
+    const te::TeConfig tc = teConfigForFleet(
+        cfg_.te, fleet_.track(0).config(), fleet_.numTracks());
     sim::Simulator &sim = fleet_.simulator();
     te_ctl_ = std::make_unique<te::TeController>(
         sim, tc, std::vector<te::TenantSpec>{{"bulk", 1.0}});
@@ -347,56 +218,48 @@ FleetDispatcher::pump()
     }
     while (!queue_.empty()) {
         const bool degraded =
-            cfg_.policy == DispatchPolicy::AvailabilityAware &&
-            anyTrackDown();
+            fleetDegraded(cfg_.policy, fleet_.numTracks(),
+                          [this](std::size_t t) { return trackUp(t); });
 
-        // Best admissible job: highest priority, then arrival order.
+        // Best admissible job: highest priority, then arrival order
+        // (job index).
         std::size_t best_pos = queue_.size();
         for (std::size_t pos = 0; pos < queue_.size(); ++pos) {
-            Job &job = jobs_[queue_[pos]];
-            if (degraded &&
-                job.meta.priority < cfg_.min_priority_degraded) {
+            const std::size_t j = queue_[pos];
+            Job &job = jobs_[j];
+            // The Te controller holds contended work until a later tick
+            // clears the contention (or the horizon passes).
+            const bool held =
+                belowPriorityFloor(degraded, job.meta.priority,
+                                   cfg_.min_priority_degraded) ||
+                (cfg_.policy == DispatchPolicy::Te &&
+                 !te_ctl_->decide(0, job.load, job.meta).admit);
+            if (held) {
                 if (!job.deferral_counted) {
                     job.deferral_counted = true;
                     ++metrics_.deferrals;
                 }
                 continue;
             }
-            if (cfg_.policy == DispatchPolicy::Te &&
-                !te_ctl_->decide(0, job.load, job.meta).admit) {
-                // Held by the controller until a later tick clears the
-                // contention (or the horizon passes).
-                if (!job.deferral_counted) {
-                    job.deferral_counted = true;
-                    ++metrics_.deferrals;
-                }
-                continue;
-            }
-            if (best_pos == queue_.size() ||
-                job.meta.priority >
-                    jobs_[queue_[best_pos]].meta.priority ||
-                (job.meta.priority ==
-                     jobs_[queue_[best_pos]].meta.priority &&
-                 job.seq < jobs_[queue_[best_pos]].seq)) {
+            if (best_pos == queue_.size()) {
                 best_pos = pos;
+                continue;
             }
+            const int best_priority = jobs_[queue_[best_pos]].meta.priority;
+            if (job.meta.priority > best_priority ||
+                (job.meta.priority == best_priority && j < queue_[best_pos]))
+                best_pos = pos;
         }
         if (best_pos == queue_.size())
             return; // everything queued is deferred
 
-        // Least-loaded eligible track, lowest index on ties.
-        std::size_t best_track = fleet_.numTracks();
-        for (std::size_t t = 0; t < fleet_.numTracks(); ++t) {
-            if (outstanding_[t] >= capacity(t))
-                continue;
-            if (cfg_.policy == DispatchPolicy::AvailabilityAware &&
-                !trackUp(t))
-                continue;
-            if (best_track == fleet_.numTracks() ||
-                outstanding_[t] < outstanding_[best_track])
-                best_track = t;
-        }
-        if (best_track == fleet_.numTracks())
+        // capacity(t) is the same on every track, so the most free
+        // slots is the least outstanding work.
+        const std::size_t best_track = mostFreeTrack(
+            fleet_.numTracks(), degraded,
+            [this](std::size_t t) { return capacity(t) - outstanding_[t]; },
+            [this](std::size_t t) { return trackUp(t); });
+        if (best_track == kNoTrack)
             return; // no track can take work right now
 
         const std::size_t j = queue_[best_pos];
@@ -450,19 +313,28 @@ FleetDispatcher::finishJob(std::size_t t, core::CartId id)
 
 core::BulkRunResult
 FleetDispatcher::runPull(double bytes, const core::BulkRunOptions &opts,
-                         std::vector<Job> jobs)
+                         const std::vector<core::RequestMeta> &meta)
 {
+    fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
+    if (opts.faults.enabled)
+        fleet_.enableFaults(opts.faults);
     sim::Simulator &sim = fleet_.simulator();
     const std::size_t k = fleet_.numTracks();
-    const std::uint64_t n_carts = jobs.size();
 
     installListeners();
     opts_ = opts;
-    jobs_ = std::move(jobs);
+    const std::vector<double> loads = core::cartLoads(
+        bytes, fleet_.track(0).config().cartCapacity().value());
+    const std::uint64_t n_carts = loads.size();
+    jobs_.clear();
+    jobs_.reserve(loads.size());
     queue_.clear();
-    queue_.reserve(jobs_.size());
-    for (std::size_t j = 0; j < jobs_.size(); ++j)
+    queue_.reserve(loads.size());
+    for (std::size_t j = 0; j < loads.size(); ++j) {
+        jobs_.push_back(
+            Job{loads[j], j < meta.size() ? meta[j] : core::RequestMeta{}});
         queue_.push_back(j);
+    }
     outstanding_.assign(k, 0);
     cart_job_.assign(k, {});
     completed_ = 0;
@@ -471,10 +343,7 @@ FleetDispatcher::runPull(double bytes, const core::BulkRunOptions &opts,
     if (cfg_.policy == DispatchPolicy::Te)
         setupTe();
 
-    const double start = sim.now();
-    const double energy_before = fleet_.totalEnergy();
-    const std::uint64_t launches_before = fleet_.launches();
-
+    const core::BulkTotals before = fleet_.totals();
     active_ = true;
     pump();
     while (completed_ < n_carts && sim.pendingEvents() > 0)
@@ -484,21 +353,8 @@ FleetDispatcher::runPull(double bytes, const core::BulkRunOptions &opts,
         te_ctl_->stop(); // cancel the pending control tick, if any
     panic_if(completed_ != n_carts,
              "fleet transfer finished with carts unaccounted for");
-
-    core::BulkRunResult r{};
-    r.total_time = sim.now() - start;
-    r.total_energy =
-        fleet_.totalEnergy() - energy_before + metrics_.optical_energy;
-    r.launches = fleet_.launches() - launches_before;
-    r.carts = n_carts;
-    std::uint64_t failures = 0;
-    for (std::size_t t = 0; t < k; ++t)
-        failures += fleet_.track(t).ssdFailures();
-    r.ssd_failures = failures;
-    r.avg_power = r.total_energy / r.total_time;
-    r.effective_bandwidth = bytes / r.total_time;
-    r.bytes_read = bytes_read_;
-    return r;
+    return core::bulkRunResult(bytes, n_carts, before, fleet_.totals(),
+                               bytes_read_, metrics_.optical_energy);
 }
 
 } // namespace ops

@@ -6,11 +6,10 @@
  * looks back — fine while every track is healthy, pathological when one
  * is down for repairs or maintenance: its share of the work queues
  * behind the outage while other tracks idle.  The FleetDispatcher is
- * the fleet-level scheduler that closes that gap, with three policies:
+ * the fleet-level scheduler that closes that gap, with four policies:
  *
- *  - RoundRobin:        static pre-assignment + serial per-track
- *                       chains.  Replicates DhlFleet::runBulkTransfer
- *                       event-for-event (tested), so it is both the
+ *  - RoundRobin:        DhlFleet::runBulkTransfer itself (static
+ *                       pre-assignment + serial per-track chains), the
  *                       backwards-compatible default and the E18
  *                       baseline.
  *  - LeastQueued:       tracks pull jobs from one fleet-level queue as
@@ -31,6 +30,11 @@
  *                       floor are downgraded to optical or held until
  *                       a control tick clears the contention.
  *
+ * The pull decisions — the degraded verdict, the priority floor and
+ * the most-free-track choice — are the header-inline functions below,
+ * shared with the serving loop (serve::ServingSim).  They read the
+ * per-track view through callables so the per-arrival path inlines.
+ *
  * Work is re-routed at the *job* level: carts are track-local, so a
  * drained QueuedOpen's cart stays in its library and the job's payload
  * is re-created on the receiving track.
@@ -40,6 +44,7 @@
 #define DHL_OPS_DISPATCHER_HPP
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -89,6 +94,68 @@ struct DispatchConfig
 
 /** Validate; fatal() on nonsense. */
 void validate(const DispatchConfig &cfg);
+
+/** @p te with a zero dhl_capacity defaulted to the aggregate launch
+ *  bandwidth of @p tracks tracks of @p dhl. */
+te::TeConfig teConfigForFleet(te::TeConfig te, const core::DhlConfig &dhl,
+                              std::size_t tracks);
+
+//===========================================================================
+// Pull decisions shared by FleetDispatcher and serve::ServingSim
+//===========================================================================
+
+/** mostFreeTrack's answer when no track can take work. */
+inline constexpr std::size_t kNoTrack =
+    std::numeric_limits<std::size_t>::max();
+
+/**
+ * The degraded verdict: under AvailabilityAware the fleet is degraded
+ * while any of its @p tracks is down (`up(t)` false).  The other
+ * policies never degrade and skip the O(tracks) scan.
+ */
+template <class Up>
+inline bool
+fleetDegraded(DispatchPolicy policy, std::size_t tracks, Up &&up)
+{
+    if (policy != DispatchPolicy::AvailabilityAware)
+        return false;
+    for (std::size_t t = 0; t < tracks; ++t)
+        if (!up(t))
+            return true;
+    return false;
+}
+
+/** The degraded-mode priority floor: work of @p priority is held
+ *  while the fleet is @p degraded and it ranks below @p floor. */
+inline bool
+belowPriorityFloor(bool degraded, int priority, int floor)
+{
+    return degraded && priority < floor;
+}
+
+/**
+ * The pull track choice: the track with the most free slots
+ * (`free(t)`), lowest index on ties.  A track with no free slot never
+ * qualifies, and while @p degraded neither does a down one (`up(t)`
+ * false).  kNoTrack when no track qualifies.
+ */
+template <class Free, class Up>
+inline std::size_t
+mostFreeTrack(std::size_t tracks, bool degraded, Free &&free, Up &&up)
+{
+    std::size_t best = kNoTrack;
+    std::size_t best_free = 0;
+    for (std::size_t t = 0; t < tracks; ++t) {
+        if (degraded && !up(t))
+            continue;
+        const std::size_t f = free(t);
+        if (f > best_free) {
+            best = t;
+            best_free = f;
+        }
+    }
+    return best;
+}
 
 /** Observables of one dispatcher run. */
 struct DispatchMetrics
@@ -149,24 +216,15 @@ class FleetDispatcher
     {
         double load;
         core::RequestMeta meta;
-        std::size_t seq;
         bool deferral_counted = false;
     };
 
-    core::BulkRunResult runRoundRobin(double bytes,
-                                      const core::BulkRunOptions &opts,
-                                      std::vector<Job> jobs);
     core::BulkRunResult runPull(double bytes,
                                 const core::BulkRunOptions &opts,
-                                std::vector<Job> jobs);
-
-    std::vector<Job> makeJobs(double bytes,
-                              const std::vector<core::RequestMeta> &meta,
-                              std::uint64_t *n_carts) const;
+                                const std::vector<core::RequestMeta> &meta);
 
     void installListeners();
     bool trackUp(std::size_t t) const;
-    bool anyTrackDown() const;
     std::size_t capacity(std::size_t t) const;
     void pump();
     void assign(std::size_t t, std::size_t j);

@@ -9,8 +9,8 @@
  * the FaultInjector scale hooks — controllers, tracks, and stations are
  * untouched and degrade through the exact machinery DESIGN.md §8
  * describes.  With everything disabled (RoundRobin policy, no windows,
- * no domains, zero wear gains) a FleetOps run is event-identical to
- * DhlFleet::runBulkTransfer (tested).
+ * no domains, zero wear gains) a FleetOps run is a plain
+ * DhlFleet::runBulkTransfer, which the RoundRobin policy calls.
  */
 
 #ifndef DHL_OPS_FLEET_OPS_HPP

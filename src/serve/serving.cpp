@@ -7,14 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "common/logging.hpp"
 #include "common/random.hpp"
-#include "dhl/analytical.hpp"
 #include "network/route.hpp"
 #include "sim/snapshot.hpp"
 
@@ -28,8 +26,6 @@ namespace {
 constexpr std::uint64_t kArrivalStreamSalt = 0x41525256ull;
 constexpr std::uint64_t kTrackStreamSalt = 0x5452414bull;
 constexpr std::uint64_t kFaultStreamSalt = 0x46414c54ull;
-
-constexpr std::size_t kNoTrack = std::numeric_limits<std::size_t>::max();
 
 } // namespace
 
@@ -125,11 +121,8 @@ ServingSim::ServingSim(const ServeConfig &cfg)
                 }
             }
         }
-        te::TeConfig tc = cfg_.te;
-        if (tc.dhl_capacity == 0.0)
-            tc.dhl_capacity =
-                static_cast<double>(cfg_.tracks) *
-                core::AnalyticalModel(cfg_.dhl).launch().bandwidth.value();
+        te::TeConfig tc =
+            ops::teConfigForFleet(cfg_.te, cfg_.dhl, cfg_.tracks);
         if (std::isinf(tc.horizon))
             tc.horizon = arrivals_->totalDuration();
         optical_ = std::make_unique<network::FlowSim>(sim_, "optical");
@@ -260,73 +253,35 @@ ServingSim::run(std::size_t max_epochs)
 bool
 ServingSim::fleetDegraded() const
 {
-    // Only AvailabilityAware reads the verdict, so the other policies
-    // skip the O(tracks) fault-state scan on every arrival and pump.
-    if (cfg_.policy != ops::DispatchPolicy::AvailabilityAware)
-        return false;
-    for (const TrackSystem &ts : tracks_)
-        if (!ts.state->serviceUp())
-            return true;
-    return false;
-}
-
-bool
-ServingSim::admissible(const workloads::ArrivalEvent &ev,
-                       bool degraded) const
-{
-    if (cfg_.policy != ops::DispatchPolicy::AvailabilityAware)
-        return true;
-    return !degraded || ev.priority >= cfg_.min_priority_degraded;
+    return ops::fleetDegraded(cfg_.policy, tracks_.size(),
+                              [this](std::size_t t) {
+                                  return tracks_[t].state->serviceUp();
+                              });
 }
 
 std::size_t
 ServingSim::pickTrack(bool degraded) const
 {
     const std::size_t n = tracks_.size();
-    switch (cfg_.policy) {
-    case ops::DispatchPolicy::RoundRobin:
+    if (cfg_.policy == ops::DispatchPolicy::RoundRobin) {
         for (std::size_t i = 0; i < n; ++i) {
             const std::size_t t = (rr_next_ + i) % n;
             if (!tracks_[t].pool.empty())
                 return t;
         }
-        return kNoTrack;
-    case ops::DispatchPolicy::Te: // rejected by validate(); see --te
-    case ops::DispatchPolicy::LeastQueued: {
-        std::size_t best = kNoTrack;
-        std::size_t best_free = 0;
-        for (std::size_t t = 0; t < n; ++t) {
-            const std::size_t free = tracks_[t].pool.size();
-            if (free > best_free) {
-                best = t;
-                best_free = free;
-            }
-        }
-        return best;
+        return ops::kNoTrack;
     }
-    case ops::DispatchPolicy::AvailabilityAware: {
-        std::size_t best = kNoTrack;
-        std::size_t best_free = 0;
-        for (std::size_t t = 0; t < n; ++t) {
-            if (degraded && !tracks_[t].state->serviceUp())
-                continue;
-            const std::size_t free = tracks_[t].pool.size();
-            if (free > best_free) {
-                best = t;
-                best_free = free;
-            }
-        }
-        return best;
-    }
-    }
-    return kNoTrack;
+    return ops::mostFreeTrack(
+        n, degraded,
+        [this](std::size_t t) { return tracks_[t].pool.size(); },
+        [this](std::size_t t) { return tracks_[t].state->serviceUp(); });
 }
 
 bool
 ServingSim::tryStart(const workloads::ArrivalEvent &ev, bool degraded)
 {
     const std::size_t t = pickTrack(degraded);
-    if (t == kNoTrack)
+    if (t == ops::kNoTrack)
         return false;
     if (cfg_.policy == ops::DispatchPolicy::RoundRobin)
         rr_next_ = (t + 1) % tracks_.size();
@@ -350,67 +305,51 @@ ServingSim::admit(const workloads::ArrivalEvent &ev)
     const std::size_t stage = static_cast<std::size_t>(ev.stage);
     slo_[stage].offer();
 
+    stats::SloAccumulator *cls = nullptr;
+    bool admit_now = true;
     if (te_) {
-        admitTe(ev);
-        return;
+        const std::size_t tenant = tenantOf(ev);
+        te_->recordUsage(tenant, ev.bytes);
+        core::RequestMeta meta;
+        meta.priority = ev.priority;
+        const te::TeDecision d = te_->decide(tenant, ev.bytes, meta);
+        if (d.substrate == te::Substrate::Optical) {
+            // Optical requests never queue: the fluid FlowSim models
+            // their contention by sharing the uplink, not by admission
+            // control.
+            classSlo(tenant, te::Substrate::Optical).offer();
+            startOptical(ev, tenant, d.downgraded);
+            return;
+        }
+        cls = &classSlo(tenant, te::Substrate::Dhl);
+        cls->offer();
+        // d.admit == false holds the request in the queue until a
+        // control tick clears the contention (decide() only withholds
+        // admission while a future tick is pending, so the hold always
+        // resolves).
+        admit_now = d.admit;
     }
 
-    if (queue_.empty()) {
+    if (admit_now && queue_.empty()) {
         const bool down = fleetDegraded();
-        if (admissible(ev, down) && tryStart(ev, down))
+        if (!ops::belowPriorityFloor(down, ev.priority,
+                                     cfg_.min_priority_degraded) &&
+            tryStart(ev, down))
             return;
     }
 
     if (queue_.size() >= cfg_.max_pending) {
         slo_[stage].shed();
+        if (cls)
+            cls->shed();
         if (trace_.enabled())
             trace_.record("serve", "admission",
                           "shed " + ev.tag + " (queue full)");
         return;
     }
     slo_[stage].defer();
-    queue_.push_back(Queued{ev});
-}
-
-void
-ServingSim::admitTe(const workloads::ArrivalEvent &ev)
-{
-    const std::size_t stage = static_cast<std::size_t>(ev.stage);
-    const std::size_t tenant = tenantOf(ev);
-    te_->recordUsage(tenant, ev.bytes);
-
-    core::RequestMeta meta;
-    meta.priority = ev.priority;
-    const te::TeDecision d = te_->decide(tenant, ev.bytes, meta);
-
-    if (d.substrate == te::Substrate::Optical) {
-        // Optical requests never queue: the fluid FlowSim models their
-        // contention by sharing the uplink, not by admission control.
-        classSlo(tenant, te::Substrate::Optical).offer();
-        startOptical(ev, tenant, d.downgraded);
-        return;
-    }
-
-    classSlo(tenant, te::Substrate::Dhl).offer();
-    // d.admit == false holds the request in the queue until a control
-    // tick clears the contention (decide() only withholds admission
-    // while a future tick is pending, so the hold always resolves).
-    if (d.admit && queue_.empty()) {
-        const bool down = fleetDegraded();
-        if (admissible(ev, down) && tryStart(ev, down))
-            return;
-    }
-
-    if (queue_.size() >= cfg_.max_pending) {
-        slo_[stage].shed();
-        classSlo(tenant, te::Substrate::Dhl).shed();
-        if (trace_.enabled())
-            trace_.record("serve", "admission",
-                          "shed " + ev.tag + " (queue full)");
-        return;
-    }
-    slo_[stage].defer();
-    classSlo(tenant, te::Substrate::Dhl).defer();
+    if (cls)
+        cls->defer();
     queue_.push_back(Queued{ev});
 }
 
@@ -470,7 +409,8 @@ ServingSim::pump()
         const bool down = fleetDegraded();
         bool progressed = false;
         for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-            if (!admissible(it->ev, down))
+            if (ops::belowPriorityFloor(down, it->ev.priority,
+                                        cfg_.min_priority_degraded))
                 continue; // held below the degraded-mode floor
             if (te_) {
                 // A queued request's substrate is fixed at admission

@@ -259,16 +259,13 @@ class ServingSim
 
     double nextBoundary() const;
     void admit(const workloads::ArrivalEvent &ev);
-    void admitTe(const workloads::ArrivalEvent &ev);
     void startOptical(const workloads::ArrivalEvent &ev,
                       std::size_t tenant, bool downgraded);
     std::size_t tenantOf(const workloads::ArrivalEvent &ev) const;
     stats::SloAccumulator &classSlo(std::size_t tenant, te::Substrate s);
     void pump();
-    /** AvailabilityAware with some track's service down (false under
-     *  every other policy, which never reads it). */
+    /** ops::fleetDegraded over this fleet's tracks. */
     bool fleetDegraded() const;
-    bool admissible(const workloads::ArrivalEvent &ev, bool degraded) const;
     bool tryStart(const workloads::ArrivalEvent &ev, bool degraded);
     std::size_t pickTrack(bool degraded) const;
     void runTrip(const std::shared_ptr<Active> &a);

@@ -222,6 +222,8 @@ class TeController : public sim::SimObject
     // dhl-analyze: transient(tick_handle_): the pending tick is
     // re-scheduled from tick_when_ on restore
     sim::EventHandle tick_handle_{};
+    // dhl-analyze: transient(on_tick_): a callback into the owner,
+    // which re-installs it (onTick) on construction
     std::function<void()> on_tick_;
 };
 

@@ -10,6 +10,7 @@
 #include "common/units.hpp"
 #include "dhl/fleet.hpp"
 #include "mlsim/comm_layer.hpp"
+#include "ops/fleet_ops.hpp"
 
 using namespace dhl::core;
 namespace u = dhl::units;
@@ -105,6 +106,57 @@ TEST(FleetTest, PerTrackSeedsDeriveFromTheFleetSeed)
     EXPECT_EQ(run(1), run(1)) << "same seed replays exactly";
     EXPECT_NE(run(1), run(1234567))
         << "the per-track streams follow the fleet seed";
+}
+
+namespace {
+
+std::uint64_t
+fleetSsdFailures(DhlFleet &fleet)
+{
+    std::uint64_t total = 0;
+    for (std::size_t t = 0; t < fleet.numTracks(); ++t)
+        total += fleet.track(t).ssdFailures();
+    return total;
+}
+
+} // namespace
+
+TEST(FleetTest, SecondRunReportsOnlyItsOwnSsdFailures)
+{
+    // ssd_failures is a per-run delta, like launches and energy: a
+    // second run on the same fleet must not re-count the first's.
+    const DhlConfig cfg = defaultConfig();
+    BulkRunOptions opts;
+    opts.failure_per_trip = 0.4;
+    const double dataset = 16.0 * cfg.cartCapacity().value();
+
+    DhlFleet fleet(cfg, 2);
+    const auto first = fleet.runBulkTransfer(dataset, opts);
+    ASSERT_GT(first.ssd_failures, 0u);
+    EXPECT_EQ(first.ssd_failures, fleetSsdFailures(fleet));
+    const std::uint64_t before = fleetSsdFailures(fleet);
+    const auto second = fleet.runBulkTransfer(dataset, opts);
+    EXPECT_EQ(second.launches, first.launches);
+    EXPECT_EQ(second.ssd_failures, fleetSsdFailures(fleet) - before);
+}
+
+TEST(FleetTest, SecondPullRunReportsOnlyItsOwnSsdFailures)
+{
+    const DhlConfig cfg = defaultConfig();
+    BulkRunOptions opts;
+    opts.failure_per_trip = 0.4;
+    const double dataset = 16.0 * cfg.cartCapacity().value();
+
+    dhl::ops::OpsConfig oc;
+    oc.dispatch.policy = dhl::ops::DispatchPolicy::LeastQueued;
+    dhl::ops::FleetOps fo(cfg, 2, oc);
+    const auto first = fo.runBulkTransfer(dataset, opts).base;
+    ASSERT_GT(first.ssd_failures, 0u);
+    EXPECT_EQ(first.ssd_failures, fleetSsdFailures(fo.fleet()));
+    const std::uint64_t before = fleetSsdFailures(fo.fleet());
+    const auto second = fo.runBulkTransfer(dataset, opts).base;
+    EXPECT_EQ(second.launches, first.launches);
+    EXPECT_EQ(second.ssd_failures, fleetSsdFailures(fo.fleet()) - before);
 }
 
 TEST(FleetTest, Accessors)

@@ -56,6 +56,19 @@ expectIdentical(const core::BulkRunResult &a, const core::BulkRunResult &b)
     EXPECT_EQ(a.bytes_read, b.bytes_read);
 }
 
+/** Per-cart metadata with mixed priorities and deadlines. */
+std::vector<core::RequestMeta>
+mixedPriorities(std::size_t n)
+{
+    std::vector<core::RequestMeta> meta(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        meta[j].priority = static_cast<int>(j % 3) - 1;
+        if (j % 4 == 0)
+            meta[j].deadline = 100.0 * static_cast<double>(j + 1);
+    }
+    return meta;
+}
+
 } // namespace
 
 //===========================================================================
@@ -249,13 +262,19 @@ TEST(DispatcherTest, RoundRobinIsByteIdenticalToTheFleet)
     core::BulkRunOptions opts;
     opts.include_read_time = true;
 
+    const std::vector<core::RequestMeta> meta = mixedPriorities(11);
+
     core::DhlFleet plain(cfg, 3);
-    const auto expected = plain.runBulkTransfer(dataset, opts);
+    std::vector<double> latency;
+    const auto expected =
+        plain.runBulkTransfer(dataset, opts, meta, &latency);
 
     OpsConfig oc; // everything off, RoundRobin policy
     FleetOps fo(cfg, 3, oc);
-    const auto r = fo.runBulkTransfer(dataset, opts);
+    const auto r = fo.runBulkTransfer(dataset, opts, meta);
     expectIdentical(r.base, expected);
+    ASSERT_EQ(latency.size(), 11u) << "one open latency per cart";
+    EXPECT_EQ(fo.dispatcher().metrics().open_latency, latency);
     EXPECT_EQ(r.reroutes, 0u);
     EXPECT_EQ(r.maintenance_windows, 0u);
     EXPECT_EQ(r.plant_outages, 0u);
@@ -283,16 +302,22 @@ TEST(DispatcherTest, RoundRobinIsByteIdenticalUnderFaults)
     fc.cart_repair_hours = 0.002;
     fc.seed = 21;
 
+    const std::vector<core::RequestMeta> meta = mixedPriorities(12);
+
     core::DhlFleet plain(cfg, 2);
     core::BulkRunOptions opts;
     opts.faults = fc;
-    const auto expected = plain.runBulkTransfer(dataset, opts);
+    std::vector<double> latency;
+    const auto expected =
+        plain.runBulkTransfer(dataset, opts, meta, &latency);
 
     OpsConfig oc;
     oc.faults = fc;
     FleetOps fo(cfg, 2, oc);
-    const auto r = fo.runBulkTransfer(dataset);
+    const auto r = fo.runBulkTransfer(dataset, {}, meta);
     expectIdentical(r.base, expected);
+    ASSERT_EQ(latency.size(), 12u) << "one open latency per cart";
+    EXPECT_EQ(fo.dispatcher().metrics().open_latency, latency);
     EXPECT_LT(r.fleet_availability, 1.0) << "outages were observed";
 }
 

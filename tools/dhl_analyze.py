@@ -317,6 +317,25 @@ def _mask_nested(body):
     return "".join(out)
 
 
+def _mask_template_args(stmt):
+    """Blank the contents of <...> lists, so parentheses in a template
+    argument (std::function<void()>) read as part of the type.  A
+    statement whose angle brackets do not balance (a comparison) is
+    returned unchanged."""
+    out = []
+    depth = 0
+    for c in stmt:
+        if c == "<":
+            depth += 1
+            out.append(c)
+        elif c == ">" and depth > 0:
+            depth -= 1
+            out.append(c)
+        else:
+            out.append(" " if depth > 0 else c)
+    return "".join(out) if depth == 0 else stmt
+
+
 def extract_members(body, masked, body_base):
     """Non-static data members of one class body: (name, type, line)."""
     flat = _mask_nested(body)
@@ -328,7 +347,8 @@ def extract_members(body, masked, body_base):
         pos = stmt_m.end()
         # Drop access labels glued to the front of the statement.
         stmt = re.sub(r"^\s*(?:public|private|protected)\s*:", "", stmt)
-        if "(" in stmt or ")" in stmt:
+        bare = _mask_template_args(stmt)
+        if "(" in bare or ")" in bare:
             continue                    # function declaration
         if MEMBER_SKIP_RE.search(stmt):
             continue
@@ -1218,6 +1238,35 @@ def self_test():
                   for _p, _l, r, m in f))
         check("snapshot bad stale",
               any("ghost_" in m for _p, _l, _r, m in f))
+
+        # A2 on a member whose type has parentheses in a template
+        # argument: it is a data member, not a function declaration.
+        _write_tree(os.path.join(tmp, "snap_callback"), {
+            "src/te/ctl.hpp": """\
+#ifndef DHL_TE_CTL_HPP
+#define DHL_TE_CTL_HPP
+class Ctl {
+  public:
+    template <class Self, class Ar>
+    static void visit(Self &self, Ar &ar) {
+        ar.io("ticks", self.ticks_);
+    }
+    void onTick(std::function<void()> cb);
+  private:
+    std::uint64_t ticks_ = 0;
+    std::function<void()> on_tick_;
+};
+#endif
+""",
+        })
+        f = analyze_tree(os.path.join(tmp, "snap_callback"))
+        check("snapshot callback member",
+              len(f) == 1 and f[0][2] == "snapshot-coverage" and
+              "on_tick_" in f[0][3])
+        check("template parens are type",
+              _mask_template_args("std::function<void()> cb_") ==
+              "std::function<      > cb_" and
+              _mask_template_args("bool x = a < b") == "bool x = a < b")
 
         # A2 on an in-class visit (the SloAccumulator shape), and A4 on
         # an annotation left in a class that no longer has a visit().
