@@ -9,6 +9,7 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/units.hpp"
@@ -28,39 +29,54 @@ dumpLine(std::ostream &os, const std::string &prefix,
        << " # " << desc << "\n";
 }
 
-/** The percentile rank formula over an already sorted, non-empty
- *  sample. */
-double
-sortedPercentile(const std::vector<double> &sorted, double p)
-{
-    fatal_if(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");
-    const double rank = p / 100.0 *
-                        static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 } // namespace
 
 double
 percentile(std::vector<double> values, double p)
 {
-    fatal_if(values.empty(), "percentile of an empty sample");
-    std::sort(values.begin(), values.end());
-    return sortedPercentile(values, p);
+    return percentiles(std::move(values), {p}).front();
 }
 
 std::vector<double>
 percentiles(std::vector<double> values, std::initializer_list<double> ps)
 {
     fatal_if(values.empty(), "percentile of an empty sample");
-    std::sort(values.begin(), values.end());
-    std::vector<double> out;
-    out.reserve(ps.size());
-    for (const double p : ps)
-        out.push_back(sortedPercentile(values, p));
+    // Rank r interpolates between the order statistics at floor(r) and
+    // the one after it.  Select them in ascending rank order: after
+    // nth_element, everything right of the low one is no smaller, so
+    // the high one is their minimum and the next selection only needs
+    // the range right of this one.
+    struct Rank
+    {
+        std::size_t lo;
+        double frac;
+        std::size_t out;
+    };
+    const std::size_t last = values.size() - 1;
+    std::vector<Rank> ranks;
+    ranks.reserve(ps.size());
+    for (const double p : ps) {
+        fatal_if(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");
+        const double rank = p / 100.0 * static_cast<double>(last);
+        const auto lo = static_cast<std::size_t>(rank);
+        ranks.push_back({lo, rank - static_cast<double>(lo), ranks.size()});
+    }
+    std::sort(ranks.begin(), ranks.end(),
+              [](const Rank &a, const Rank &b) { return a.lo < b.lo; });
+
+    std::vector<double> out(ps.size());
+    auto unselected = values.begin();
+    for (const Rank &r : ranks) {
+        const auto nth = values.begin() + static_cast<std::ptrdiff_t>(r.lo);
+        if (nth >= unselected) {
+            std::nth_element(unselected, nth, values.end());
+            unselected = nth + 1;
+        }
+        const double lo = *nth;
+        const double hi =
+            r.lo < last ? *std::min_element(nth + 1, values.end()) : lo;
+        out[r.out] = lo + r.frac * (hi - lo);
+    }
     return out;
 }
 

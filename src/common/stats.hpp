@@ -180,7 +180,7 @@ class Histogram : public StatBase
  * The @p p-th percentile (0 <= p <= 100) of @p values by linear
  * interpolation between closest ranks (the common "exclusive of
  * nothing" definition: percentile(v, 0) = min, percentile(v, 100) =
- * max).  Sorts a copy; fatal() on an empty sample or p outside
+ * max).  Selects on a copy; fatal() on an empty sample or p outside
  * [0, 100].  Bench code uses this for P99 open latency (E18) and
  * bootstrap confidence intervals (E17).
  *
@@ -196,9 +196,12 @@ class Histogram : public StatBase
 double percentile(std::vector<double> values, double p);
 
 /**
- * percentile() at every rank in @p ps from a single sort of @p values:
- * element i equals percentile(values, ps[i]) bit for bit.  fatal() on
- * an empty sample or any p outside [0, 100].
+ * percentile() at every rank in @p ps: element i is the closest-ranks
+ * interpolation at ps[i], bit for bit what a full sort would give.  The
+ * order statistics are found by selection (nth_element, then the
+ * minimum to its right), each rank narrowing the range for the next,
+ * so the cost is O(n) per rank instead of one O(n log n) sort.
+ * fatal() on an empty sample or any p outside [0, 100].
  */
 std::vector<double> percentiles(std::vector<double> values,
                                 std::initializer_list<double> ps);
@@ -326,7 +329,7 @@ class SloAccumulator
     std::uint64_t shed() const { return shed_; }
     double bytesDelivered() const { return bytes_; }
 
-    /** Completion-latency percentiles (stats::percentiles, one sort);
+    /** Completion-latency percentiles (stats::percentiles);
      *  all 0 when nothing completed. */
     std::vector<double>
     latencyPercentiles(std::initializer_list<double> ps) const;

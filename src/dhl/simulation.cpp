@@ -91,9 +91,12 @@ DhlSimulation::runBulkTransfer(double bytes, const BulkRunOptions &opts)
              "dataset needs more carts than the library has slots; "
              "increase library_slots");
 
-    // Preload the dataset across the carts.
+    // Preload the dataset across fresh carts; earlier runs' carts keep
+    // their ids, so these are the ids to open.
+    std::vector<CartId> carts;
+    carts.reserve(loads.size());
     for (double load : loads)
-        controller_->addCart(load);
+        carts.push_back(controller_->addCart(load).id());
 
     const BulkTotals before = totals();
     auto completed = std::make_shared<std::uint64_t>(0);
@@ -135,14 +138,14 @@ DhlSimulation::runBulkTransfer(double bytes, const BulkRunOptions &opts)
     if (opts.pipelined) {
         // Issue everything; the controller's queue and the track's
         // admission policy shape the pipeline.
-        for (std::uint64_t i = 0; i < n_carts; ++i)
-            run_cart(static_cast<CartId>(i));
+        for (CartId id : carts)
+            run_cart(id);
         run_to(n_carts);
     } else {
         // Strictly serial: each cart's round trip completes before the
         // next is requested (the paper's Table VI accounting).
         for (std::uint64_t i = 0; i < n_carts; ++i) {
-            run_cart(static_cast<CartId>(i));
+            run_cart(carts[i]);
             run_to(i + 1);
         }
     }

@@ -174,8 +174,8 @@ FleetDispatcher::setupTe()
         if (active_)
             pump();
     });
-    te_flow_ = std::make_unique<network::FlowSim>(sim, "te_optical");
-    te_links_ = {te_flow_->addLink(tc.optical_capacity)};
+    te_flow_ = std::make_unique<network::SharedLink>(
+        sim, tc.optical_capacity, "te_optical");
     te_power_ = network::findRoute(tc.route).power().value();
     // Seed the demand estimator with the whole backlog: the first
     // control epoch then sees the true offered load instead of zero.
@@ -189,7 +189,7 @@ FleetDispatcher::offload(std::size_t j)
 {
     ++metrics_.offloads;
     metrics_.optical_bytes += jobs_[j].load;
-    te_flow_->startFlow(te_links_, jobs_[j].load, te_power_,
+    te_flow_->startFlow(jobs_[j].load, te_power_,
                         [this](const network::FlowRecord &rec) {
                             metrics_.optical_energy += rec.energy;
                             ++completed_;

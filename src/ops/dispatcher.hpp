@@ -24,7 +24,7 @@
  *                       are deferred (admission control, reusing
  *                       core::RequestMeta).
  *  - Te:                LeastQueued plus a TeController (src/te): jobs
- *                       the controller routes optical ride a FlowSim
+ *                       the controller routes optical ride a shared
  *                       fat-tree uplink instead of a cart, and
  *                       contended bulk jobs below the TE priority
  *                       floor are downgraded to optical or held until
@@ -53,7 +53,7 @@
 #include "dhl/fleet.hpp"
 #include "dhl/scheduler.hpp"
 #include "dhl/simulation.hpp"
-#include "network/flowsim.hpp"
+#include "network/shared_link.hpp"
 #include "te/controller.hpp"
 
 namespace dhl {
@@ -250,8 +250,7 @@ class FleetDispatcher
 
     // Te substrate, rebuilt per runPull (policy == Te only).
     std::unique_ptr<te::TeController> te_ctl_;
-    std::unique_ptr<network::FlowSim> te_flow_;
-    std::vector<int> te_links_;
+    std::unique_ptr<network::SharedLink> te_flow_;
     double te_power_ = 0.0;
 };
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/stats.hpp"
@@ -113,8 +114,10 @@ scoreDesign(const PlannerConfig &cfg,
     std::vector<double> resampled(cfg.bootstrap);
     for (double &a : resampled)
         a = static_cast<double>(resample.sample(bootstrap_rng)) / n;
-    r.attainment_lo = stats::percentile(resampled, 2.5);
-    r.attainment_hi = stats::percentile(resampled, 97.5);
+    const std::vector<double> ci =
+        stats::percentiles(std::move(resampled), {2.5, 97.5});
+    r.attainment_lo = ci[0];
+    r.attainment_hi = ci[1];
     return r;
 }
 

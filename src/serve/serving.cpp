@@ -125,8 +125,8 @@ ServingSim::ServingSim(const ServeConfig &cfg)
             ops::teConfigForFleet(cfg_.te, cfg_.dhl, cfg_.tracks);
         if (std::isinf(tc.horizon))
             tc.horizon = arrivals_->totalDuration();
-        optical_ = std::make_unique<network::FlowSim>(sim_, "optical");
-        optical_links_ = {optical_->addLink(tc.optical_capacity)};
+        optical_ = std::make_unique<network::SharedLink>(
+            sim_, tc.optical_capacity, "optical");
         optical_route_power_ =
             network::findRoute(tc.route).power().value();
         te_ = std::make_unique<te::TeController>(sim_, tc,
@@ -314,7 +314,7 @@ ServingSim::admit(const workloads::ArrivalEvent &ev)
         meta.priority = ev.priority;
         const te::TeDecision d = te_->decide(tenant, ev.bytes, meta);
         if (d.substrate == te::Substrate::Optical) {
-            // Optical requests never queue: the fluid FlowSim models
+            // Optical requests never queue: the shared link models
             // their contention by sharing the uplink, not by admission
             // control.
             classSlo(tenant, te::Substrate::Optical).offer();
@@ -360,16 +360,14 @@ ServingSim::startOptical(const workloads::ArrivalEvent &ev,
     if (downgraded)
         ++te_downgrades_;
     ++in_flight_;
-    auto boxed = std::make_shared<workloads::ArrivalEvent>(ev);
     optical_->startFlow(
-        optical_links_, ev.bytes, optical_route_power_,
-        [this, boxed, tenant](const network::FlowRecord &rec) {
-            const std::size_t stage =
-                static_cast<std::size_t>(boxed->stage);
-            const double latency = sim_.now() - boxed->at;
-            slo_[stage].complete(latency, boxed->bytes);
+        ev.bytes, optical_route_power_,
+        [this, stage = static_cast<std::size_t>(ev.stage), at = ev.at,
+         tenant](const network::FlowRecord &rec) {
+            const double latency = sim_.now() - at;
+            slo_[stage].complete(latency, rec.bytes);
             classSlo(tenant, te::Substrate::Optical)
-                .complete(latency, boxed->bytes);
+                .complete(latency, rec.bytes);
             optical_energy_ += rec.energy;
             ++served_;
             ++optical_served_;
@@ -576,9 +574,9 @@ ServingSim::visit(Self &self, Ar &ar)
     if (self.plants_)
         ar.io("plants", *self.plants_);
     if (self.te_) {
-        // The drained boundary has zero active flows, so the FlowSim
-        // itself holds no dynamic state worth keeping; the serve layer
-        // checkpoints its own optical accumulators instead.
+        // The drained boundary has zero active flows, so the shared
+        // link itself holds no dynamic state worth keeping; the serve
+        // layer checkpoints its own optical accumulators instead.
         sim::SnapshotScope ts(ar, "te");
         ar.io("optical_energy", self.optical_energy_);
         ar.io("optical_served", self.optical_served_);

@@ -49,7 +49,7 @@
 #include "exp/slo.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_state.hpp"
-#include "network/flowsim.hpp"
+#include "network/shared_link.hpp"
 #include "ops/correlated.hpp"
 #include "ops/dispatcher.hpp"
 #include "ops/maintenance.hpp"
@@ -110,10 +110,10 @@ struct ServeConfig
     /**
      * Traffic engineering (src/te).  When enabled, a TeController is
      * consulted at admission: small requests ride the optical
-     * substrate (a FlowSim sharing one fat-tree uplink max-min
-     * fairly), bulk requests ride the carts, and contended bulk
-     * traffic below the priority floor is downgraded to optical or
-     * held.  A request's substrate is fixed at admission.  Disabled
+     * substrate (a network::SharedLink: one fat-tree uplink under
+     * processor sharing), bulk requests ride the carts, and contended
+     * bulk traffic below the priority floor is downgraded to optical
+     * or held.  A request's substrate is fixed at admission.  Disabled
      * leaves every stream and table byte-identical to pre-TE builds.
      */
     te::TeConfig te{};
@@ -288,12 +288,11 @@ class ServingSim
 
     // Traffic engineering (cfg_.te.enabled only; null/empty otherwise).
     std::unique_ptr<te::TeController> te_;
-    // dhl-analyze: transient(optical_, optical_links_,
-    // optical_route_power_, tenant_tags_): rebuilt identically by the
-    // constructor from the same ServeConfig (the optical substrate is
-    // idle at every drained epoch boundary)
-    std::unique_ptr<network::FlowSim> optical_;
-    std::vector<int> optical_links_;    ///< The one fat-tree uplink.
+    // dhl-analyze: transient(optical_, optical_route_power_,
+    // tenant_tags_): rebuilt identically by the constructor from the
+    // same ServeConfig (the optical substrate is idle at every drained
+    // epoch boundary)
+    std::unique_ptr<network::SharedLink> optical_; ///< Fat-tree uplink.
     double optical_route_power_ = 0.0;  ///< W while a flow is active.
     /** Per-(tenant, substrate) accounting: index = tenant*2 + sub. */
     std::vector<stats::SloAccumulator> class_slo_;

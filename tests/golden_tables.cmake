@@ -1,12 +1,14 @@
 # Byte-for-byte check of the dispatch-path tables against the goldens in
 # tests/data: E18 (every fleet dispatch policy under plant outages and a
 # maintenance window), E19 (the serving loop under round-robin,
-# least-queued and availability) and des_validation (whose fleet section
-# runs DhlFleet::runBulkTransfer for K = 1..6).
+# least-queued and availability), E20 (the serving loop's TE optical
+# substrate in DHL-only, optical-only and hybrid modes) and
+# des_validation (whose fleet section runs DhlFleet::runBulkTransfer for
+# K = 1..6).
 #
 #   cmake -DE18=<reliability_validation> -DE19=<serving_study>
-#         -DDES=<des_validation> -DDATA=<tests/data> -DOUT=<output dir>
-#         -P golden_tables.cmake
+#         -DE20=<hybrid_te_study> -DDES=<des_validation>
+#         -DDATA=<tests/data> -DOUT=<output dir> -P golden_tables.cmake
 
 function(check_golden name golden)
     set(out ${OUT}/${name})
@@ -29,4 +31,5 @@ endfunction()
 check_golden(e18.csv e18_golden.csv
     ${E18} --experiment e18 --csv --jobs 1)
 check_golden(e19.csv e19_golden.csv ${E19} --csv --jobs 1)
+check_golden(e20.csv e20_golden.csv ${E20} --csv --jobs 1)
 check_golden(des_validation.txt des_validation_golden.txt ${DES})

@@ -55,6 +55,22 @@ TEST(DhlSimulationTest, ReadTimeAccountedWhenRequested)
     EXPECT_DOUBLE_EQ(r0.bytes_read, 0.0);
 }
 
+TEST(DhlSimulationTest, SecondRunOpensTheCartsItLoaded)
+{
+    // Run 2 must open its own fresh cart, not cart 0 of run 1.
+    const DhlConfig cfg = defaultConfig();
+    const double cart = cfg.cartCapacity().value();
+    DhlSimulation sim(cfg);
+    BulkRunOptions opts;
+    opts.include_read_time = true;
+    const auto first = sim.runBulkTransfer(2.0 * cart, opts);
+    EXPECT_EQ(first.carts, 2u);
+    EXPECT_DOUBLE_EQ(first.bytes_read, 2.0 * cart);
+    const auto second = sim.runBulkTransfer(0.5 * cart, opts);
+    EXPECT_EQ(second.carts, 1u);
+    EXPECT_DOUBLE_EQ(second.bytes_read, 0.5 * cart);
+}
+
 TEST(DhlSimulationTest, PipelinedDualTrackBeatsSerial)
 {
     DhlConfig cfg = defaultConfig();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -190,7 +191,7 @@ TEST(PercentileTest, DuplicateValuesFormPlateaus)
     EXPECT_DOUBLE_EQ(percentile({4.0, 4.0, 4.0}, 33.3), 4.0);
 }
 
-TEST(PercentileTest, OneSortMatchesPerRankCallsBitForBit)
+TEST(PercentileTest, BatchMatchesPerRankCallsBitForBit)
 {
     dhl::Rng rng(5);
     for (const std::size_t n : {1u, 2u, 3u, 10u, 997u}) {
@@ -210,6 +211,47 @@ TEST(PercentileTest, OneSortMatchesPerRankCallsBitForBit)
     EXPECT_THROW(percentiles({}, {50.0}), dhl::FatalError);
     EXPECT_THROW(percentiles({1.0}, {50.0, 100.5}), dhl::FatalError);
     EXPECT_TRUE(percentiles({1.0}, {}).empty());
+}
+
+TEST(PercentileTest, SelectionMatchesSortReferenceBitForBit)
+{
+    // The reference: sort a copy, then interpolate between the closest
+    // ranks.  Selection must give the same bits for every rank,
+    // including duplicate, adjacent and unordered ranks.
+    const auto reference = [](std::vector<double> v, double p) {
+        std::sort(v.begin(), v.end());
+        const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+        const auto lo = static_cast<std::size_t>(rank);
+        const std::size_t hi = std::min(lo + 1, v.size() - 1);
+        const double frac = rank - static_cast<double>(lo);
+        return v[lo] + frac * (v[hi] - v[lo]);
+    };
+    dhl::Rng rng(11);
+    for (int trial = 0; trial < 400; ++trial) {
+        const auto n = static_cast<std::size_t>(
+            trial < 40 ? trial % 4 + 1 : rng.uniformInt(1, 3000));
+        // Half the samples repeat a few values, so runs of duplicates
+        // straddle the selected ranks.
+        std::vector<double> v(n);
+        for (double &x : v)
+            x = rng.uniform() < 0.5
+                    ? static_cast<double>(rng.uniformInt(0, 5))
+                    : rng.exponential(3.0);
+        const double ps[] = {100.0, 0.0, 50.0, 99.9, 99.0, 50.0,
+                             rng.uniform(0.0, 100.0), 25.0};
+        const std::vector<double> q = percentiles(
+            v, {ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6], ps[7]});
+        ASSERT_EQ(q.size(), 8u);
+        for (std::size_t i = 0; i < 8; ++i) {
+            const double want = reference(v, ps[i]);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(q[i]),
+                      std::bit_cast<std::uint64_t>(want))
+                << "n " << n << " p " << ps[i];
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(v, ps[i])),
+                      std::bit_cast<std::uint64_t>(want))
+                << "n " << n << " p " << ps[i];
+        }
+    }
 }
 
 TEST(SloAccumulatorTest, LatencyPercentilesZeroWhenNothingCompleted)
